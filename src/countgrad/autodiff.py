@@ -2,9 +2,16 @@
 
 A :class:`Tape` records primitive applications in execution order; node ids
 are indices into the tape, so creation order is already a topological order.
-Everything is define-by-run: build a fresh tape per forward pass, call
-:func:`backward` on a scalar output, and read gradients out of the returned
-store. Values are always float64.
+Everything is define-by-run: record one forward pass on a fresh tape, call
+:func:`backward` on a scalar output, and read leaf gradients out of the
+returned store. Values are always float64.
+
+The array primitives accept an optional leading batch axis, so one tape can
+carry a forward pass over a group of images (training records a few images
+per tape; see ``harness.train``). Memory is kept to what the backward pass
+needs: each node's rule retains only the operands its gradient uses (sums
+retain none, a convolution its padded input, a rectifier one bool mask),
+and :func:`backward` frees each interior gradient once it has propagated.
 """
 
 from __future__ import annotations
@@ -158,30 +165,39 @@ def new_param(tape: Tape, values, shape=None) -> DiffArray:
     return tape._record(arr.copy(), (), None)
 
 
-def _binary(a, b, fwd, grad_a, grad_b) -> DiffArray:
+def _binary(a, b, out, grad_a, grad_b) -> DiffArray:
+    """Record ``out`` with the gradient rule of each operand that is on a tape.
+
+    A rule keeps alive only what it references, so callers build each from
+    just what that operand's gradient needs.
+    """
     tape = _tape_of(a, b)
-    av, bv = _values(a), _values(b)
-    out = fwd(av, bv)
     parents, grads = [], []
-    if isinstance(a, DiffArray):
-        parents.append(a.node_id)
-        grads.append(lambda g: _unbroadcast(grad_a(g, av, bv), av.shape))
-    if isinstance(b, DiffArray):
-        parents.append(b.node_id)
-        grads.append(lambda g: _unbroadcast(grad_b(g, av, bv), bv.shape))
+    for x, grad in ((a, grad_a), (b, grad_b)):
+        if isinstance(x, DiffArray):
+            parents.append(x.node_id)
+            grads.append(grad)
     return tape._record(out, tuple(parents), lambda g: tuple(fn(g) for fn in grads))
 
 
 def add(a, b) -> DiffArray:
-    return _binary(a, b, lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g)
+    av, bv = _values(a), _values(b)
+    sa, sb = av.shape, bv.shape
+    return _binary(a, b, av + bv, lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb))
 
 
 def sub(a, b) -> DiffArray:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g)
+    av, bv = _values(a), _values(b)
+    sa, sb = av.shape, bv.shape
+    return _binary(a, b, av - bv, lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb))
 
 
 def mul(a, b) -> DiffArray:
-    return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
+    av, bv = _values(a), _values(b)
+    sa, sb = av.shape, bv.shape
+    return _binary(
+        a, b, av * bv, lambda g: _unbroadcast(g * bv, sa), lambda g: _unbroadcast(g * av, sb)
+    )
 
 
 def neg(x: DiffArray) -> DiffArray:
@@ -194,34 +210,47 @@ def scale(x: DiffArray, c: float) -> DiffArray:
 
 
 def matvec(w, v) -> DiffArray:
-    """Matrix-vector product ``w @ v`` for w of shape (m, n), v of shape (n,)."""
-    tape = _tape_of(w, v)
+    """Matrix-vector products ``w @ v`` over any leading batch axes.
+
+    ``w`` is (..., m, n) and ``v`` is (..., n); leading axes broadcast, so a
+    shared (m, n) matrix applies to a (B, n) batch of vectors, and a
+    (B, m, n) batch of matrices pairs row by row with a (B, n) batch.
+    """
     wv, vv = _values(w), _values(v)
-    if wv.ndim != 2 or vv.ndim != 1 or wv.shape[1] != vv.shape[0]:
+    if wv.ndim < 2 or vv.ndim < 1 or wv.shape[-1] != vv.shape[-1]:
         raise ValueError(f"matvec shape mismatch: {wv.shape} @ {vv.shape}")
-    out = wv @ vv
-    parents, grads = [], []
-    if isinstance(w, DiffArray):
-        parents.append(w.node_id)
-        grads.append(lambda g: np.outer(g, vv))
-    if isinstance(v, DiffArray):
-        parents.append(v.node_id)
-        grads.append(lambda g: wv.T @ g)
-    return tape._record(out, tuple(parents), lambda g: tuple(fn(g) for fn in grads))
+    out = (wv @ vv[..., None])[..., 0]
+    wshape, vshape = wv.shape, vv.shape
+
+    def grad_w(g):
+        if len(wshape) == 2:  # one matrix shared by every vector
+            return g.reshape(-1, wshape[0]).T @ vv.reshape(-1, wshape[1])
+        return _unbroadcast(g[..., :, None] * vv[..., None, :], wshape)
+
+    def grad_v(g):
+        return _unbroadcast((np.swapaxes(wv, -1, -2) @ g[..., None])[..., 0], vshape)
+
+    return _binary(w, v, out, grad_w, grad_v)
 
 
-def take_index(x: DiffArray, i: int) -> DiffArray:
-    """Select ``x[i]`` along the leading axis; gradient scatters back into row i."""
+def take_index(x: DiffArray, i) -> DiffArray:
+    """Select ``x[i]`` along the leading axis; gradient scatters back into the rows.
+
+    ``i`` is one index or an integer array of them; a row picked several
+    times receives the sum of its gradients.
+    """
     n = x.values.shape[0]
-    if not 0 <= i < n:
+    idx = np.asarray(i)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"index {i} out of range for leading axis of size {n}")
+    shape = x.values.shape
 
     def vjp(g):
-        gx = np.zeros_like(x.values)
-        gx[i] = g
+        gx = np.zeros(shape)
+        np.add.at(gx, idx, g)
         return (gx,)
 
-    return x.tape._record(x.values[i].copy(), (x.node_id,), vjp)
+    return x.tape._record(x.values[idx].copy(), (x.node_id,), vjp)
 
 
 def reshape(x: DiffArray, shape) -> DiffArray:
@@ -233,7 +262,7 @@ def reshape(x: DiffArray, shape) -> DiffArray:
 
 
 def concat_channels(a: DiffArray, b: DiffArray) -> DiffArray:
-    """Concatenate two (H, W, C) arrays along the channel axis."""
+    """Concatenate two (..., C) arrays with equal leading shape along the last axis."""
     tape = _tape_of(a, b)
     ca = a.values.shape[-1]
     out = np.concatenate([a.values, b.values], axis=-1)
@@ -260,9 +289,11 @@ def leaky_relu(x: DiffArray, alpha: float = 0.1) -> DiffArray:
     xv = x.values
     if np.any(xv == 0.0):
         x.tape.at_kink = True
-    x.tape.kink_signature.append(xv > 0.0)
-    slope = np.where(xv > 0.0, 1.0, alpha)
-    return x.tape._record(np.where(xv > 0.0, xv, alpha * xv), (x.node_id,), lambda g: (g * slope,))
+    positive = xv > 0.0
+    # the backward rule and the kink signature share this one mask
+    x.tape.kink_signature.append(positive)
+    out = np.where(positive, xv, alpha * xv)
+    return x.tape._record(out, (x.node_id,), lambda g: (np.where(positive, g, alpha * g),))
 
 
 def log(x: DiffArray) -> DiffArray:
@@ -286,76 +317,101 @@ def clamp(x: DiffArray, lo: float, hi: float) -> DiffArray:
     if np.any(xv == lo) or np.any(xv == hi):
         x.tape.at_kink = True
     inside = (xv > lo) & (xv < hi)
-    x.tape.kink_signature.append(inside.copy())
+    x.tape.kink_signature.append(inside)
     return x.tape._record(np.clip(xv, lo, hi), (x.node_id,), lambda g: (g * inside,))
 
 
+def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad the two spatial axes of a (B, H, W, C) array."""
+    if ph == 0 and pw == 0:
+        return x
+    b, h, w, c = x.shape
+    out = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
+    out[:, ph : ph + h, pw : pw + w] = x
+    return out
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(B*ho*wo, kh*kw*C) matrix of the receptive fields of a padded (B, H, W, C) input."""
+    b, _, _, c = xp.shape
+    sb, sr, sc, sd = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(b, ho, wo, kh, kw, c),
+        strides=(sb, sr * stride, sc * stride, sr, sc, sd),
+        writeable=False,
+    )
+    return windows.reshape(b * ho * wo, kh * kw * c)
+
+
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> DiffArray:
-    """Cross-correlate (H, W, C) input with a (kh, kw, C, C') kernel.
+    """Cross-correlate (H, W, C) or batched (B, H, W, C) input with a (kh, kw, C, C') kernel.
 
     Output spatial extent is floor((H + 2*padding - kh) / stride) + 1 per
-    axis. Gradient rules are recorded for both input and kernel.
+    axis. The whole batch runs as one im2col GEMM. Gradient rules are
+    recorded for both input and kernel; the node keeps only the padded
+    input, and only when the kernel needs a gradient (the kernel gradient
+    rebuilds the columns from it). The input gradient is a transposed
+    convolution at stride 1 and one GEMM per kernel tap otherwise (larger
+    strides, or padding so wide that some outputs see only zeros).
     """
-    tape = _tape_of(x, kernel)
     xv, kv = _values(x), _values(kernel)
-    if xv.ndim != 3 or kv.ndim != 4:
-        raise ValueError(f"conv2d expects (H,W,C) input and (kh,kw,C,C') kernel, got {xv.shape}, {kv.shape}")
-    if xv.shape[2] != kv.shape[2]:
-        raise ValueError(f"channel mismatch: input has {xv.shape[2]}, kernel expects {kv.shape[2]}")
+    if xv.ndim not in (3, 4) or kv.ndim != 4:
+        raise ValueError(
+            f"conv2d expects (H,W,C) or (B,H,W,C) input and (kh,kw,C,C') kernel, got {xv.shape}, {kv.shape}"
+        )
+    if xv.shape[-1] != kv.shape[2]:
+        raise ValueError(f"channel mismatch: input has {xv.shape[-1]}, kernel expects {kv.shape[2]}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    h, w, c = xv.shape
+    batched = xv.ndim == 4
+    xb = xv if batched else xv[None]
+    b, h, w, c = xb.shape
     kh, kw, _, co = kv.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ValueError("kernel larger than padded input")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    in_shape = xv.shape
 
-    if padding:
-        xp = np.zeros((hp, wp, c))
-        xp[padding : padding + h, padding : padding + w] = xv
-    else:
-        xp = xv
-    sr, sc, sd = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(ho, wo, kh, kw, c),
-        strides=(sr * stride, sc * stride, sr, sc, sd),
-        writeable=False,
-    )
-    cols = windows.reshape(ho * wo, kh * kw * c).copy()
-    kmat = kv.reshape(kh * kw * c, co)
-    out = (cols @ kmat).reshape(ho, wo, co)
+    xp = _pad(xb, padding, padding)
+    out = (_im2col(xp, kh, kw, stride, ho, wo) @ kv.reshape(kh * kw * c, co)).reshape(b, ho, wo, co)
+    if not batched:
+        out = out[0]
 
-    parents, grads = [], []
-    if isinstance(x, DiffArray):
+    if stride == 1 and padding < min(kh, kw):
 
         def grad_input(g):
-            gcols = (g.reshape(ho * wo, co) @ kmat.T).reshape(ho, wo, kh, kw, c)
-            gxp = np.zeros((hp, wp, c))
+            gp = _pad(g.reshape(b, ho, wo, co), kh - 1 - padding, kw - 1 - padding)
+            flipped = kv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * co, c)
+            return (_im2col(gp, kh, kw, 1, h, w) @ flipped).reshape(in_shape)
+
+    else:
+
+        def grad_input(g):
+            g2 = g.reshape(b * ho * wo, co)
+            gxp = np.zeros((b, hp, wp, c))
             for i in range(kh):
                 for j in range(kw):
-                    gxp[i : i + stride * ho : stride, j : j + stride * wo : stride] += gcols[:, :, i, j]
-            if padding:
-                return gxp[padding : padding + h, padding : padding + w]
-            return gxp
+                    tap = (g2 @ kv[i, j].T).reshape(b, ho, wo, c)
+                    gxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += tap
+            return gxp[:, padding : padding + h, padding : padding + w].reshape(in_shape)
 
-        parents.append(x.node_id)
-        grads.append(grad_input)
-    if isinstance(kernel, DiffArray):
-        parents.append(kernel.node_id)
-        grads.append(lambda g: (cols.T @ g.reshape(ho * wo, co)).reshape(kv.shape))
-    return tape._record(out, tuple(parents), lambda g: tuple(fn(g) for fn in grads))
+    def grad_kernel(g):
+        cols = _im2col(xp, kh, kw, stride, ho, wo)
+        return (cols.T @ g.reshape(b * ho * wo, co)).reshape(kh, kw, c, co)
+
+    return _binary(x, kernel, out, grad_input, grad_kernel)
 
 
 def upsample_nearest(x: DiffArray, factor: int = 2) -> DiffArray:
-    """Nearest-neighbor upsampling of an (H, W, C) array by an integer factor."""
-    h, w, c = x.values.shape
-    out = x.values.repeat(factor, axis=0).repeat(factor, axis=1)
+    """Nearest-neighbor upsampling of an (H, W, C) or (B, H, W, C) array by an integer factor."""
+    *lead, h, w, c = x.values.shape
+    out = x.values.repeat(factor, axis=-3).repeat(factor, axis=-2)
 
     def vjp(g):
-        return (g.reshape(h, factor, w, factor, c).sum(axis=(1, 3)),)
+        return (g.reshape(*lead, h, factor, w, factor, c).sum(axis=(-4, -2)),)
 
     return x.tape._record(out, (x.node_id,), vjp)
 
@@ -374,11 +430,19 @@ def grid_pool_sum(x: DiffArray, factor: int) -> DiffArray:
     return x.tape._record(out, (x.node_id,), vjp)
 
 
-def reduce_sum(x: DiffArray) -> DiffArray:
-    """Total sum as a scalar node; gradient broadcasts one to every element."""
+def reduce_sum(x: DiffArray, axis=None) -> DiffArray:
+    """Sum over ``axis`` (default: everything, giving a scalar node).
+
+    ``reduce_sum(x, axis=(-2, -1))`` on a (B, H, W) batch gives the (B,)
+    per-example totals. The gradient broadcasts back over the summed axes.
+    """
     shape = x.values.shape
-    out = np.asarray(x.values.sum())
-    return x.tape._record(out, (x.node_id,), lambda g: (np.broadcast_to(g, shape).copy(),))
+    out = np.asarray(x.values.sum(axis=axis))
+    summed = range(len(shape)) if axis is None else {a % len(shape) for a in np.atleast_1d(axis)}
+    kept = tuple(1 if i in summed else n for i, n in enumerate(shape))
+    return x.tape._record(
+        out, (x.node_id,), lambda g: (np.broadcast_to(np.reshape(g, kept), shape).copy(),)
+    )
 
 
 def l1_diff(a: DiffArray, b) -> DiffArray:
@@ -400,16 +464,25 @@ def l1_diff(a: DiffArray, b) -> DiffArray:
 
 
 class Gradients:
-    """Gradient store produced by one backward pass."""
+    """Leaf gradients produced by one backward pass."""
 
     def __init__(self, tape: Tape, grads: list):
         self._tape = tape
         self._grads = grads
 
     def wrt(self, x: DiffArray) -> np.ndarray:
-        """Gradient of the seeded scalar with respect to ``x`` (zeros if unreached)."""
+        """Gradient of the seeded scalar with respect to leaf ``x`` (zeros if unreached).
+
+        Interior nodes' gradients are freed during the backward pass, so
+        asking for one raises instead of returning a stale or empty value.
+        """
         if x.tape is not self._tape:
             raise ValueError("array does not belong to this tape")
+        if self._tape._vjps[x.node_id] is not None:
+            raise ValueError(
+                f"{x!r} is an interior node; backward keeps gradients only for "
+                "leaves made by new_param"
+            )
         g = self._grads[x.node_id]
         if g is None:
             return np.zeros(self._tape._shapes[x.node_id])
@@ -419,7 +492,9 @@ class Gradients:
 def backward(tape: Tape, seed: DiffArray) -> Gradients:
     """Reverse-accumulate gradients of a scalar seed over the whole tape.
 
-    Each call re-seeds from scratch; nothing accumulates across calls.
+    Each call re-seeds from scratch; nothing accumulates across calls. An
+    interior node's gradient is dropped as soon as it has been passed on to
+    its parents, so only leaf gradients survive the pass.
     """
     if seed.tape is not tape:
         raise ValueError("seed does not belong to this tape")
@@ -427,11 +502,14 @@ def backward(tape: Tape, seed: DiffArray) -> Gradients:
         raise ValueError(f"backward seed must be scalar, got shape {seed.values.shape}")
     grads: list = [None] * len(tape)
     grads[seed.node_id] = np.asarray(1.0)
+    vjps, parents = tape._vjps, tape._parents
     for nid in range(seed.node_id, -1, -1):
+        vjp = vjps[nid]
         g = grads[nid]
-        if g is None or tape._vjps[nid] is None:
+        if g is None or vjp is None:
             continue
-        for pid, pg in zip(tape._parents[nid], tape._vjps[nid](g)):
+        grads[nid] = None
+        for pid, pg in zip(parents[nid], vjp(g)):
             # Accumulation always rebinds (never mutates), so views are safe.
             grads[pid] = pg if grads[pid] is None else grads[pid] + pg
     return Gradients(tape, grads)

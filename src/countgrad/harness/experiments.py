@@ -12,7 +12,7 @@ import numpy as np
 
 from ..datagen import Corpus
 from ..losses import LossWeights
-from ..model import CountModel, ModelConfig
+from ..model import CountModel, ModelConfig, count_above
 from ..raster import downscale_and_pad
 from .train import StageData, TrainConfig, compute_metrics, evaluate, train_stage
 
@@ -146,12 +146,25 @@ def size_class_drift(
 def threshold_sweep(
     model: CountModel, corpus: Corpus, kappas: tuple[float, ...]
 ) -> tuple[list[ThresholdRow], float]:
-    """Evaluate at each classification threshold; returns rows and argmin kappa."""
+    """Evaluate at each classification threshold; returns rows and argmin kappa.
+
+    One forward per image serves every kappa; each count goes through the
+    same rule as thresholded_count, so every row equals evaluate at its kappa.
+    """
     if any(not 0.0 <= k < 1.0 for k in kappas):
         raise ValueError("kappa values must lie in [0, 1)")
+    if len(corpus) == 0:
+        raise ValueError("cannot evaluate on an empty corpus")
+    preds: list[list[float]] = [[] for _ in kappas]
+    truths = []
+    for s in corpus.samples():
+        y_cnt, y_cls = model.forward(s.scene.image, s.category_id)
+        for per_kappa, kappa in zip(preds, kappas):
+            per_kappa.append(count_above(y_cnt, y_cls, kappa))
+        truths.append(s.scene.count(s.category_id))
     rows = []
-    for kappa in kappas:
-        m = evaluate(model, corpus, kappa=kappa)
+    for per_kappa, kappa in zip(preds, kappas):
+        m = compute_metrics(per_kappa, truths)
         rows.append(ThresholdRow(kappa, m.mae, m.rmse))
     best = min(rows, key=lambda r: r.mae)
     return rows, best.kappa

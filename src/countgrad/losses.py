@@ -4,10 +4,16 @@ Count losses are summed (not averaged) L1 so their scale matches objects,
 which keeps the default weighting meaningful against count error. The
 classification losses are mean binary cross-entropy, making their weight
 independent of grid resolution.
+
+Predictions may carry a leading batch axis, (B, grid, grid) against
+per-row targets; every loss is then the sum of its rows' single-image
+losses, so gradients of a batch equal the sum of per-image gradients.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,36 +82,48 @@ def _bce_terms(pred: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
 
 
 def strong_cls_loss(pred: ad.DiffArray, target: ClassGrid | np.ndarray) -> ad.DiffArray:
-    """Mean binary cross-entropy over every grid cell."""
+    """Mean binary cross-entropy over every grid cell (of each row, summed over rows)."""
     labels = target.grid if isinstance(target, ClassGrid) else np.asarray(target)
     if pred.shape != labels.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {labels.shape}")
     terms = _bce_terms(pred, labels)
-    return ad.scale(ad.reduce_sum(terms), -1.0 / labels.size)
+    return ad.scale(ad.reduce_sum(terms), -1.0 / math.prod(labels.shape[-2:]))
 
 
-def weak_cls_loss(pred: ad.DiffArray, weak: WeakGrids) -> ad.DiffArray:
+def weak_cls_loss(pred: ad.DiffArray, weak: WeakGrids | Sequence[WeakGrids]) -> ad.DiffArray:
     """Mean binary cross-entropy restricted to the annotated cells.
 
     Unannotated cells contribute exactly nothing, so sparse labels never
-    penalize the model for regions nobody looked at.
+    penalize the model for regions nobody looked at. For a (B, grid, grid)
+    prediction pass one WeakGrids per row; each row is averaged over its
+    own annotated cells.
     """
-    omega = weak.annotated
-    n = int(omega.sum())
-    if n == 0:
+    grids = [weak] if isinstance(weak, WeakGrids) else list(weak)
+    omega = np.stack([wg.annotated for wg in grids])
+    n = omega.sum(axis=(1, 2), keepdims=True)
+    if not n.all():
         raise ValueError("no annotated cells to supervise")
-    if pred.shape != omega.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {omega.shape}")
-    terms = _bce_terms(pred, weak.positive)
-    masked = ad.mul(terms, omega.astype(np.float64))
-    return ad.scale(ad.reduce_sum(masked), -1.0 / n)
+    cell_weight = omega / n
+    positive = np.stack([wg.positive for wg in grids])
+    if isinstance(weak, WeakGrids):
+        cell_weight, positive = cell_weight[0], positive[0]
+    if pred.shape != cell_weight.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {cell_weight.shape}")
+    terms = _bce_terms(pred, positive)
+    return ad.scale(ad.reduce_sum(ad.mul(terms, cell_weight)), -1.0)
 
 
-def weak_count_loss(pred: ad.DiffArray, count: float) -> ad.DiffArray:
-    """Absolute deviation of the summed prediction from the scalar count."""
-    if count < 0:
+def weak_count_loss(pred: ad.DiffArray, count) -> ad.DiffArray:
+    """Absolute deviation of the summed prediction from the scalar count.
+
+    With a (B,) array of counts, each row of ``pred`` is summed against its
+    own count and the deviations add up.
+    """
+    counts = np.asarray(count, dtype=np.float64)
+    if np.any(counts < 0):
         raise ValueError("count must be non-negative")
-    return ad.l1_diff(ad.reduce_sum(pred), np.asarray(float(count)))
+    totals = ad.reduce_sum(pred, axis=tuple(range(counts.ndim, pred.values.ndim)))
+    return ad.l1_diff(totals, counts)
 
 
 def weighted_total(count_loss: ad.DiffArray, cls_loss: ad.DiffArray, alpha: float, beta: float) -> ad.DiffArray:

@@ -28,6 +28,7 @@ __all__ = [
     "ModelConfig",
     "CountModel",
     "ForwardPass",
+    "count_above",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
@@ -107,12 +108,26 @@ TRUNK_WEIGHTS = ("stage1_k", "stage1_b", "stage2_k", "stage2_b", "stage3_k", "st
 
 @dataclass
 class ForwardPass:
-    """Handles returned by one on-tape evaluation."""
+    """Handles returned by one on-tape evaluation.
 
-    y_cnt: ad.DiffArray  # (grid, grid), non-negative
-    y_cls: ad.DiffArray  # (grid, grid), in (0, 1)
-    image_node: ad.DiffArray
+    Grids are (grid, grid) for a single image and (B, grid, grid) for a
+    batch of B images.
+    """
+
+    y_cnt: ad.DiffArray  # non-negative
+    y_cls: ad.DiffArray  # in (0, 1)
     params: dict[str, ad.DiffArray] | None = None
+
+
+def count_above(y_cnt: np.ndarray, y_cls: np.ndarray, kappa: float) -> float:
+    """Exact (fsum) count mass over the cells whose class probability exceeds ``kappa``.
+
+    The one thresholding rule: thresholded_count and the threshold sweep
+    both go through it, so a sweep's kappa=0 row equals evaluate bit for bit.
+    """
+    if not 0.0 <= kappa < 1.0:
+        raise ValueError("kappa must lie in [0, 1)")
+    return math.fsum(y_cnt[y_cls > kappa])
 
 
 class CountModel:
@@ -168,56 +183,60 @@ class CountModel:
         self,
         tape: ad.Tape,
         image,
-        category_id: int,
+        category_id,
         trainable: bool = False,
     ) -> ForwardPass:
-        """Run the network on a tape.
+        """Run the network on a tape over one image or a batch of images.
 
-        ``image`` may be a plain array or a DiffArray already on ``tape``
-        (the guidance path). With ``trainable`` the weights are registered
-        as parameters and returned for gradient reads; otherwise they enter
-        as constants and only image-dependent work is recorded.
+        ``image`` is (n, n) for one image or (B, n, n) for a batch, either a
+        plain array, which enters as a constant, or a DiffArray already on
+        ``tape`` (the guidance path). ``category_id`` is one category for
+        every row or a sequence of B, one per row. Rows never interact, so
+        a batch's outputs are its rows' single-image outputs up to float64
+        rounding. With ``trainable`` the weights are registered as
+        parameters and returned for gradient reads; otherwise they enter as
+        constants and only image-dependent work is recorded.
         """
         cfg = self.config
-        if not 0 <= category_id < cfg.num_categories:
-            raise ValueError(f"unknown category {category_id}")
         n = cfg.input_size
+        shape = image.shape if isinstance(image, ad.DiffArray) else np.shape(image)
+        if len(shape) not in (2, 3) or tuple(shape[-2:]) != (n, n):
+            raise ValueError(f"image shape {shape} does not match input size {n}")
+        single = len(shape) == 2
+        b = 1 if single else shape[0]
+        cats = np.asarray(category_id)
+        if cats.ndim == 0:
+            cats = np.full(b, cats)
+        if cats.shape != (b,) or cats.dtype.kind not in "iu":
+            raise ValueError(f"need one category id or {b} of them, got {category_id!r}")
+        if cats.min() < 0 or cats.max() >= cfg.num_categories:
+            raise ValueError(f"unknown category {category_id}")
 
         if isinstance(image, ad.DiffArray):
-            if image.shape == (n, n):
-                x = ad.reshape(image, (n, n, 1))
-            elif image.shape == (n, n, 1):
-                x = image
-            else:
-                raise ValueError(f"image shape {image.shape} does not match input size {n}")
-            image_node = image
+            x = ad.reshape(image, (b, n, n, 1))
         else:
-            arr = np.asarray(image, dtype=np.float64)
-            if arr.shape != (n, n):
-                raise ValueError(f"image shape {arr.shape} does not match input size {n}")
-            image_node = ad.new_param(tape, arr.reshape(n, n, 1))
-            x = image_node
+            x = np.asarray(image, dtype=np.float64).reshape(b, n, n, 1)
+            if not trainable:
+                # nothing else would be on the tape for the first convolution
+                x = ad.new_param(tape, x)
 
+        c2, c3 = cfg.channels[1:]
         params: dict[str, ad.DiffArray] | None = None
         if trainable:
             params = {k: ad.new_param(tape, v) for k, v in self.weights.items()}
             w = params
-            emb = ad.take_index(w["embed"], category_id)
+            emb = ad.take_index(w["embed"], cats)
             gate2 = ad.sigmoid(ad.add(ad.matvec(w["attn2_w"], emb), w["attn2_b"]))
             gate3 = ad.sigmoid(ad.add(ad.matvec(w["attn3_w"], emb), w["attn3_b"]))
-            cls_query = ad.reshape(
-                ad.add(ad.matvec(w["cls_proj_w"], emb), w["cls_proj_b"]),
-                (1, 1, cfg.fused_channels, 1),
-            )
+            gate2, gate3 = ad.reshape(gate2, (b, 1, 1, c2)), ad.reshape(gate3, (b, 1, 1, c3))
+            cls_query = ad.add(ad.matvec(w["cls_proj_w"], emb), w["cls_proj_b"])
             scale_node, bias_node = w["cls_logit_scale"], w["cls_logit_bias"]
         else:
             w = self.weights
-            emb_v = w["embed"][category_id]
-            gate2 = expit(w["attn2_w"] @ emb_v + w["attn2_b"])
-            gate3 = expit(w["attn3_w"] @ emb_v + w["attn3_b"])
-            cls_query = (w["cls_proj_w"] @ emb_v + w["cls_proj_b"]).reshape(
-                1, 1, cfg.fused_channels, 1
-            )
+            emb_v = w["embed"][cats][..., None]
+            gate2 = expit((w["attn2_w"] @ emb_v)[..., 0] + w["attn2_b"]).reshape(b, 1, 1, c2)
+            gate3 = expit((w["attn3_w"] @ emb_v)[..., 0] + w["attn3_b"]).reshape(b, 1, 1, c3)
+            cls_query = (w["cls_proj_w"] @ emb_v)[..., 0] + w["cls_proj_b"]
             scale_node, bias_node = float(w["cls_logit_scale"]), float(w["cls_logit_bias"])
 
         def block(h, kname, bname, stride):
@@ -250,15 +269,18 @@ class CountModel:
         f_cls = block(fused, "head_cls_k", "head_cls_b", 2)
 
         g = cfg.grid_size
+        out_shape = (g, g) if single else (b, g, g)
         y_cnt = ad.reshape(
             ad.softplus(ad.add(ad.conv2d(f_cnt, w["cnt_out_k"]), w["cnt_out_b"])),
-            (g, g),
+            out_shape,
         )
-        logits = ad.add(ad.mul(ad.conv2d(f_cls, cls_query), scale_node), bias_node)
-        y_cls = ad.reshape(ad.sigmoid(logits), (g, g))
-        return ForwardPass(y_cnt, y_cls, image_node, params)
+        # each row's cells against its own category's query vector
+        cell_feats = ad.reshape(f_cls, (b, g * g, cfg.fused_channels))
+        logits = ad.add(ad.mul(ad.matvec(cell_feats, cls_query), scale_node), bias_node)
+        y_cls = ad.reshape(ad.sigmoid(logits), out_shape)
+        return ForwardPass(y_cnt, y_cls, params)
 
-    def forward(self, image: np.ndarray, category_id: int) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, image: np.ndarray, category_id) -> tuple[np.ndarray, np.ndarray]:
         """Plain-array forward: (cardinality grid, class-probability grid)."""
         out = self.forward_on_tape(ad.Tape(), image, category_id)
         return out.y_cnt.values, out.y_cls.values
@@ -276,10 +298,7 @@ class CountModel:
         Sums are exact (fsum), so the result is monotone non-increasing in
         kappa and coincides bit-for-bit with predict_count at kappa=0.
         """
-        if not 0.0 <= kappa < 1.0:
-            raise ValueError("kappa must lie in [0, 1)")
-        y_cnt, y_cls = self.forward(image, category_id)
-        return math.fsum(y_cnt[y_cls > kappa])
+        return count_above(*self.forward(image, category_id), kappa)
 
     def tiled_count(
         self,

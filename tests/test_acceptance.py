@@ -221,6 +221,9 @@ def _primitive_cases():
     w_pool = rng.normal(size=(2, 2))
     w_conv = rng.normal(size=(6, 6, 3))
     w_conv_s2 = rng.normal(size=(3, 3, 3))
+    imgs = rng.normal(size=(3, 6, 6, 2))  # a batch, as the training tapes record it
+    w_convs = rng.normal(size=(3, 6, 6, 3))
+    w_convs_s2 = rng.normal(size=(3, 3, 3, 3))
 
     cases = [
         ("add_lhs", a, lambda p: _weighted_sum(ad.add(p, ad.new_param(p.tape, b)), w)),
@@ -288,6 +291,27 @@ def _primitive_cases():
             img,
             lambda p: _weighted_sum(
                 ad.conv2d(p, ad.new_param(p.tape, ker), stride=2, padding=1), w_conv_s2
+            ),
+        ),
+        (
+            "conv2d_batched_input",
+            imgs,
+            lambda p: _weighted_sum(
+                ad.conv2d(p, ad.new_param(p.tape, ker), stride=1, padding=1), w_convs
+            ),
+        ),
+        (
+            "conv2d_batched_strided",
+            imgs,
+            lambda p: _weighted_sum(
+                ad.conv2d(p, ad.new_param(p.tape, ker), stride=2, padding=1), w_convs_s2
+            ),
+        ),
+        (
+            "conv2d_batched_kernel",
+            ker,
+            lambda p: _weighted_sum(
+                ad.conv2d(ad.new_param(p.tape, imgs), p, stride=2, padding=1), w_convs_s2
             ),
         ),
     ]

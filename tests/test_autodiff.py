@@ -281,6 +281,115 @@ class TestConvAndPooling:
             ad.grid_pool_sum(x, 2)
 
 
+class TestBatched:
+    """The leading batch axis the training tapes use, checked at batch > 1."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_batched_input_gradient(self, stride):
+        rng = np.random.default_rng(50 + stride)
+        k = rng.normal(size=(3, 3, 2, 3)) * 0.3
+        w = rng.normal(size=(3, 6 // stride, 6 // stride, 3))
+
+        def fn(x):
+            return ad.reduce_sum(ad.mul(ad.conv2d(x, k, stride=stride, padding=1), w))
+
+        check(fn, rng.normal(size=(3, 6, 6, 2)))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_batched_kernel_gradient(self, stride):
+        rng = np.random.default_rng(52 + stride)
+        x = rng.normal(size=(3, 6, 6, 2))
+        w = rng.normal(size=(3, 6 // stride, 6 // stride, 3))
+
+        def fn(k):
+            return ad.reduce_sum(ad.mul(ad.conv2d(x, k, stride=stride, padding=1), w))
+
+        check(fn, rng.normal(size=(3, 3, 2, 3)) * 0.3)
+
+    def test_conv2d_one_by_one_kernel(self):
+        rng = np.random.default_rng(55)
+        x0 = rng.normal(size=(2, 4, 4, 3))
+        k0 = rng.normal(size=(1, 1, 3, 1))
+        w = rng.normal(size=(2, 4, 4, 1))
+        check(lambda x: ad.reduce_sum(ad.mul(ad.conv2d(x, k0), w)), x0)
+        check(lambda k: ad.reduce_sum(ad.mul(ad.conv2d(x0, k), w)), k0)
+
+    def test_conv2d_batch_rows_match_single_images(self):
+        rng = np.random.default_rng(56)
+        xv = rng.normal(size=(3, 7, 7, 2))
+        kv = rng.normal(size=(3, 3, 2, 4))
+        tape = ad.Tape()
+        batch = ad.conv2d(ad.new_param(tape, xv), kv, stride=2, padding=1).values
+        for i in range(3):
+            one = ad.conv2d(ad.new_param(tape, xv[i]), kv, stride=2, padding=1).values
+            np.testing.assert_allclose(batch[i], one, rtol=1e-12, atol=1e-14)
+
+    def test_take_index_repeated_rows(self):
+        rng = np.random.default_rng(57)
+        w = rng.normal(size=(5, 3))
+        idx = np.array([2, 0, 2, 2, 1])
+
+        def fn(x):
+            return ad.reduce_sum(ad.mul(ad.take_index(x, idx), w))
+
+        check(fn, rng.normal(size=(3, 3)))
+        tape = ad.Tape()
+        x = ad.new_param(tape, np.zeros((3, 3)))
+        grad = ad.backward(tape, ad.reduce_sum(ad.take_index(x, idx))).wrt(x)
+        np.testing.assert_array_equal(grad[:, 0], [1.0, 1.0, 3.0])
+
+    def test_take_index_rows_bounds(self):
+        tape = ad.Tape()
+        x = ad.new_param(tape, np.ones((2, 3)))
+        with pytest.raises(IndexError):
+            ad.take_index(x, np.array([0, 2]))
+
+    def test_matvec_shared_matrix_over_batch(self):
+        rng = np.random.default_rng(58)
+        w0 = rng.normal(size=(4, 3))
+        v0 = rng.normal(size=(5, 3))
+        c = rng.normal(size=(5, 4))
+        check(lambda w: ad.reduce_sum(ad.mul(ad.matvec(w, v0), c)), w0)
+        check(lambda v: ad.reduce_sum(ad.mul(ad.matvec(w0, v), c)), v0)
+
+    def test_matvec_batched_matrices(self):
+        rng = np.random.default_rng(59)
+        w0 = rng.normal(size=(3, 6, 4))
+        v0 = rng.normal(size=(3, 4))
+        c = rng.normal(size=(3, 6))
+        check(lambda w: ad.reduce_sum(ad.mul(ad.matvec(w, v0), c)), w0)
+        check(lambda v: ad.reduce_sum(ad.mul(ad.matvec(w0, v), c)), v0)
+
+    def test_per_example_cell_sum(self):
+        rng = np.random.default_rng(60)
+        c = rng.normal(size=(3,))
+
+        def fn(x):
+            totals = ad.reduce_sum(x, axis=(-2, -1))
+            return ad.reduce_sum(ad.mul(ad.mul(totals, totals), c))
+
+        check(fn, rng.normal(size=(3, 4, 4)))
+        tape = ad.Tape()
+        x = ad.new_param(tape, np.arange(24.0).reshape(2, 3, 4))
+        np.testing.assert_array_equal(ad.reduce_sum(x, axis=(-2, -1)).values, [66.0, 210.0])
+
+    def test_upsample_batched(self):
+        rng = np.random.default_rng(61)
+        w = rng.normal(size=(2, 6, 6, 2))
+        check(lambda x: ad.reduce_sum(ad.mul(ad.upsample_nearest(x, 2), w)), rng.normal(size=(2, 3, 3, 2)))
+
+    def test_concat_channels_batched(self):
+        rng = np.random.default_rng(62)
+        b0 = rng.normal(size=(2, 3, 3, 1))
+        w = rng.normal(size=(2, 3, 3, 3))
+
+        def fn(a):
+            y = ad.concat_channels(a, ad.new_param(a.tape, b0))
+            return ad.reduce_sum(ad.mul(y, w))
+
+        check(fn, rng.normal(size=(2, 3, 3, 2)))
+
+
 class TestReductionsAndL1:
     def test_reduce_sum_scalar_shape(self):
         tape = ad.Tape()
@@ -320,6 +429,16 @@ class TestTapeMechanics:
         out = ad.reduce_sum(x)
         grads = ad.backward(tape, out)
         np.testing.assert_array_equal(grads.wrt(y), np.zeros(3))
+
+    def test_interior_gradient_request_names_the_node(self):
+        # backward frees interior gradients, so reading one must fail loudly
+        tape = ad.Tape()
+        x = ad.new_param(tape, np.ones(3))
+        y = ad.mul(x, x)
+        grads = ad.backward(tape, ad.reduce_sum(y))
+        np.testing.assert_array_equal(grads.wrt(x), [2.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match=f"node_id={y.node_id}"):
+            grads.wrt(y)
 
     def test_fan_out_accumulates(self):
         tape = ad.Tape()

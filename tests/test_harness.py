@@ -1,9 +1,12 @@
 """Optimizer, metrics, training mechanics, blob rendering, and experiment plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from countgrad import autodiff as ad
+from countgrad.harness import train as train_mod
 from countgrad.datagen import Corpus, SceneSpec, make_corpus
 from countgrad.harness import (
     Adam,
@@ -26,6 +29,7 @@ from countgrad.harness import (
 from countgrad.losses import LossWeights
 from countgrad.model import CountModel, ModelConfig
 from countgrad.raster import downscale_and_pad, oracle_count_components
+from countgrad.targets import WeakGrids
 
 TINY_MODEL = ModelConfig(input_size=16, channels=(2, 3, 4), fused_channels=4, embed_dim=3, seed=2)
 
@@ -203,6 +207,55 @@ class TestTrainStage:
             TrainConfig(target="pointwise")
         with pytest.raises(ValueError):
             TrainConfig(lr_heads=0.0)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [LossWeights(), LossWeights(alpha1=0.0, beta2=0.0), LossWeights(beta1=0.0, alpha2=0.0)],
+    )
+    def test_group_gradient_equals_per_example_sum(self, weights):
+        # one tape over a mixed group must give the per-example gradients' sum
+        data = tiny_data(n_train=12)
+        cfg = TrainConfig(stage="weak", weights=weights)
+        strong = train_mod._prepare_strong(data.train, cfg, 8)
+        weak = train_mod._prepare_weak(data.train, 8)
+        by_cat = {c: [i for i, ex in enumerate(strong) if ex.category_id == c] for c in (0, 1)}
+        assert by_cat[0] and by_cat[1], "need both categories"
+        unlabelled = replace(
+            weak[by_cat[0][-1]],
+            weak_grids=WeakGrids(np.zeros((2, 2), bool), np.zeros((2, 2), bool), 3),
+        )
+        group = [
+            (True, strong[by_cat[0][0]]),
+            (False, weak[by_cat[1][0]]),
+            (True, strong[by_cat[1][0]]),
+            (False, unlabelled),
+            (False, weak[by_cat[0][1]]),
+            (True, strong[by_cat[0][1]]),
+        ]
+        model = CountModel.create(TINY_MODEL)
+
+        def grads(items):
+            sums = {k: np.zeros_like(v) for k, v in model.weights.items()}
+            cnt, cls = train_mod._accumulate(model, items, weights, sums, "test")
+            return sums, cnt, cls
+
+        batched, cnt, cls = grads(group)
+        summed = {k: np.zeros_like(v) for k, v in model.weights.items()}
+        magnitude = {k: np.zeros_like(v) for k, v in model.weights.items()}
+        cnt_sum = cls_sum = 0.0
+        for item in group:
+            g, c, l = grads([item])
+            cnt_sum, cls_sum = cnt_sum + c, cls_sum + l
+            for k in summed:
+                summed[k] += g[k]
+                magnitude[k] += np.abs(g[k])
+        for k in summed:
+            # relative to the summands: a sum that cancels keeps their rounding
+            scale = magnitude[k].max()
+            np.testing.assert_allclose(batched[k], summed[k], rtol=0, atol=1e-12 * scale, err_msg=k)
+        assert cnt == pytest.approx(cnt_sum, rel=1e-12)
+        assert cls == pytest.approx(cls_sum, rel=1e-12)
+        assert any(np.abs(v).max() > 0 for v in batched.values())
 
     def test_density_target_trains(self):
         data = tiny_data(n_train=8)

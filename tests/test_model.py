@@ -69,6 +69,27 @@ class TestForward:
                 model.forward(img, 1)[head], twin.forward(img, 0)[head]
             )
 
+    def test_batch_rows_match_single_image_forwards(self):
+        # rows never interact; they differ from batch-of-1 only by GEMM rounding
+        model = CountModel.create()
+        rng = np.random.default_rng(9)
+        images = rng.uniform(0.0, 1.0, (5, 64, 64))
+        cats = [0, 1, 1, 0, 1]
+        y_cnt, y_cls = model.forward(images, cats)
+        assert y_cnt.shape == (5, 8, 8) and y_cls.shape == (5, 8, 8)
+        for i, cat in enumerate(cats):
+            one_cnt, one_cls = model.forward(images[i], cat)
+            np.testing.assert_allclose(y_cnt[i], one_cnt, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(y_cls[i], one_cls, rtol=1e-12, atol=0)
+
+    def test_batch_category_validation(self):
+        model = CountModel.create()
+        images = np.zeros((3, 64, 64))
+        with pytest.raises(ValueError):
+            model.forward(images, [0, 1])
+        with pytest.raises(ValueError):
+            model.forward(images, [0, 1, 2])
+
     def test_repeated_forward_stays_finite(self):
         model = CountModel.create(SMALL)
         rng = np.random.default_rng(4)
