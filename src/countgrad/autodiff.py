@@ -6,6 +6,12 @@ Everything is define-by-run: record one forward pass on a fresh tape, call
 :func:`backward` on a scalar output, and read leaf gradients out of the
 returned store. Values are always float64.
 
+Only what depends on a parameter is recorded. A primitive whose operands
+are all plain arrays (constants) returns a plain array and leaves the tape
+alone, so one network definition serves training, where the weights are
+parameters, and frozen inference, where they are constants and a forward
+over a constant image records nothing.
+
 The array primitives accept an optional leading batch axis, so one tape can
 carry a forward pass over a group of images (training records a few images
 per tape; see ``harness.train``). Memory is kept to what the backward pass
@@ -45,7 +51,6 @@ __all__ = [
     "clamp",
     "conv2d",
     "upsample_nearest",
-    "grid_pool_sum",
     "reduce_sum",
     "l1_diff",
     "backward",
@@ -64,12 +69,6 @@ class Tape:
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list = []  # callable(g) -> tuple of parent grads, or None for leaves
         self._shapes: list[tuple[int, ...]] = []
-        # True once any op was evaluated exactly at a subgradient point
-        # (l1_diff residual 0, leaky_relu input 0, clamp at a bound).
-        self.at_kink = False
-        # per-op record of which side of each kink the evaluation fell on;
-        # lets grad_check detect stencils that straddle a kink
-        self.kink_signature: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return len(self._parents)
@@ -80,6 +79,19 @@ class Tape:
         self._vjps.append(vjp)
         self._shapes.append(values.shape)
         return DiffArray(self, nid, values)
+
+
+class _KinkTape(Tape):
+    """The tape :func:`grad_check` records on; only it tracks kinks."""
+
+    def __init__(self):
+        super().__init__()
+        # True once any op was evaluated exactly at a subgradient point
+        # (l1_diff residual 0, leaky_relu input 0, clamp at a bound).
+        self.at_kink = False
+        # per-op record of which side of each kink the evaluation fell on;
+        # lets grad_check detect stencils that straddle a kink
+        self.kink_signature: list[np.ndarray] = []
 
 
 class DiffArray:
@@ -126,7 +138,8 @@ def _values(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def _tape_of(*operands) -> Tape:
+def _tape_of(*operands) -> Tape | None:
+    """The tape the DiffArray operands share; None when all are constants."""
     tape = None
     for x in operands:
         if isinstance(x, DiffArray):
@@ -134,9 +147,14 @@ def _tape_of(*operands) -> Tape:
                 tape = x.tape
             elif tape is not x.tape:
                 raise ValueError("operands recorded on different tapes")
-    if tape is None:
-        raise ValueError("at least one operand must be a DiffArray")
     return tape
+
+
+def _note_kink(x, side: np.ndarray, on_kink) -> None:
+    """On grad_check's tapes only: record each element's side of a kink, and ``on_kink()``."""
+    if isinstance(x, DiffArray) and isinstance(x.tape, _KinkTape):
+        x.tape.kink_signature.append(side)
+        x.tape.at_kink |= bool(on_kink())
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -165,13 +183,23 @@ def new_param(tape: Tape, values, shape=None) -> DiffArray:
     return tape._record(arr.copy(), (), None)
 
 
-def _binary(a, b, out, grad_a, grad_b) -> DiffArray:
+def _unary(x, out, vjp):
+    """Record ``out`` with rule ``vjp`` if ``x`` is on a tape; else return it as is."""
+    if isinstance(x, DiffArray):
+        return x.tape._record(out, (x.node_id,), vjp)
+    return out
+
+
+def _binary(a, b, out, grad_a, grad_b):
     """Record ``out`` with the gradient rule of each operand that is on a tape.
 
-    A rule keeps alive only what it references, so callers build each from
-    just what that operand's gradient needs.
+    With both operands constant, ``out`` is returned unrecorded. A rule
+    keeps alive only what it references, so callers build each from just
+    what that operand's gradient needs.
     """
     tape = _tape_of(a, b)
+    if tape is None:
+        return out
     parents, grads = [], []
     for x, grad in ((a, grad_a), (b, grad_b)):
         if isinstance(x, DiffArray):
@@ -201,12 +229,12 @@ def mul(a, b) -> DiffArray:
 
 
 def neg(x: DiffArray) -> DiffArray:
-    return x.tape._record(-x.values, (x.node_id,), lambda g: (-g,))
+    return _unary(x, -_values(x), lambda g: (-g,))
 
 
 def scale(x: DiffArray, c: float) -> DiffArray:
     c = float(c)
-    return x.tape._record(c * x.values, (x.node_id,), lambda g: (c * g,))
+    return _unary(x, c * _values(x), lambda g: (c * g,))
 
 
 def matvec(w, v) -> DiffArray:
@@ -239,86 +267,76 @@ def take_index(x: DiffArray, i) -> DiffArray:
     ``i`` is one index or an integer array of them; a row picked several
     times receives the sum of its gradients.
     """
-    n = x.values.shape[0]
+    xv = _values(x)
+    n = xv.shape[0]
     idx = np.asarray(i)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"index {i} out of range for leading axis of size {n}")
-    shape = x.values.shape
+    shape = xv.shape
 
     def vjp(g):
         gx = np.zeros(shape)
         np.add.at(gx, idx, g)
         return (gx,)
 
-    return x.tape._record(x.values[idx].copy(), (x.node_id,), vjp)
+    return _unary(x, xv[idx].copy(), vjp)
 
 
 def reshape(x: DiffArray, shape) -> DiffArray:
-    shape = tuple(shape)
-    old = x.values.shape
-    return x.tape._record(
-        x.values.reshape(shape), (x.node_id,), lambda g: (g.reshape(old),)
-    )
+    xv = _values(x)
+    old = xv.shape
+    return _unary(x, xv.reshape(tuple(shape)), lambda g: (g.reshape(old),))
 
 
 def concat_channels(a: DiffArray, b: DiffArray) -> DiffArray:
     """Concatenate two (..., C) arrays with equal leading shape along the last axis."""
-    tape = _tape_of(a, b)
-    ca = a.values.shape[-1]
-    out = np.concatenate([a.values, b.values], axis=-1)
-    return tape._record(
-        out,
-        (a.node_id, b.node_id),
-        lambda g: (g[..., :ca], g[..., ca:]),
-    )
+    av, bv = _values(a), _values(b)
+    ca = av.shape[-1]
+    out = np.concatenate([av, bv], axis=-1)
+    return _binary(a, b, out, lambda g: g[..., :ca], lambda g: g[..., ca:])
 
 
 def sigmoid(x: DiffArray) -> DiffArray:
     # expit is the numerically stable two-branch logistic.
-    y = expit(x.values)
-    return x.tape._record(y, (x.node_id,), lambda g: (g * y * (1.0 - y),))
+    y = expit(_values(x))
+    return _unary(x, y, lambda g: (g * y * (1.0 - y),))
 
 
 def softplus(x: DiffArray) -> DiffArray:
-    y = np.logaddexp(0.0, x.values)
-    xv = x.values
-    return x.tape._record(y, (x.node_id,), lambda g: (g * expit(xv),))
+    xv = _values(x)
+    return _unary(x, np.logaddexp(0.0, xv), lambda g: (g * expit(xv),))
 
 
 def leaky_relu(x: DiffArray, alpha: float = 0.1) -> DiffArray:
-    xv = x.values
-    if np.any(xv == 0.0):
-        x.tape.at_kink = True
+    xv = _values(x)
     positive = xv > 0.0
     # the backward rule and the kink signature share this one mask
-    x.tape.kink_signature.append(positive)
+    _note_kink(x, positive, lambda: np.any(xv == 0.0))
     out = np.where(positive, xv, alpha * xv)
-    return x.tape._record(out, (x.node_id,), lambda g: (np.where(positive, g, alpha * g),))
+    return _unary(x, out, lambda g: (np.where(positive, g, alpha * g),))
 
 
 def log(x: DiffArray) -> DiffArray:
-    xv = x.values
+    xv = _values(x)
     if np.any(xv <= 0.0):
         raise ValueError("log requires strictly positive inputs")
-    return x.tape._record(np.log(xv), (x.node_id,), lambda g: (g / xv,))
+    return _unary(x, np.log(xv), lambda g: (g / xv,))
 
 
 def sqrt(x: DiffArray) -> DiffArray:
-    xv = x.values
+    xv = _values(x)
     if np.any(xv < 0.0):
         raise ValueError("sqrt requires non-negative inputs")
     y = np.sqrt(xv)
-    return x.tape._record(y, (x.node_id,), lambda g: (g * 0.5 / y,))
+    return _unary(x, y, lambda g: (g * 0.5 / y,))
 
 
 def clamp(x: DiffArray, lo: float, hi: float) -> DiffArray:
     """Clip to [lo, hi]; gradient passes through strictly inside the interval."""
-    xv = x.values
-    if np.any(xv == lo) or np.any(xv == hi):
-        x.tape.at_kink = True
+    xv = _values(x)
     inside = (xv > lo) & (xv < hi)
-    x.tape.kink_signature.append(inside)
-    return x.tape._record(np.clip(xv, lo, hi), (x.node_id,), lambda g: (g * inside,))
+    _note_kink(x, inside, lambda: np.any(xv == lo) or np.any(xv == hi))
+    return _unary(x, np.clip(xv, lo, hi), lambda g: (g * inside,))
 
 
 def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -407,27 +425,14 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> DiffArray:
 
 def upsample_nearest(x: DiffArray, factor: int = 2) -> DiffArray:
     """Nearest-neighbor upsampling of an (H, W, C) or (B, H, W, C) array by an integer factor."""
-    *lead, h, w, c = x.values.shape
-    out = x.values.repeat(factor, axis=-3).repeat(factor, axis=-2)
+    xv = _values(x)
+    *lead, h, w, c = xv.shape
+    out = xv.repeat(factor, axis=-3).repeat(factor, axis=-2)
 
     def vjp(g):
         return (g.reshape(*lead, h, factor, w, factor, c).sum(axis=(-4, -2)),)
 
-    return x.tape._record(out, (x.node_id,), vjp)
-
-
-def grid_pool_sum(x: DiffArray, factor: int) -> DiffArray:
-    """Sum-pool an (H, W) array over non-overlapping factor x factor blocks."""
-    h, w = x.values.shape
-    if h % factor or w % factor:
-        raise ValueError(f"pool factor {factor} does not divide extents {(h, w)}")
-    hg, wg = h // factor, w // factor
-    out = x.values.reshape(hg, factor, wg, factor).sum(axis=(1, 3))
-
-    def vjp(g):
-        return (np.kron(g, np.ones((factor, factor))),)
-
-    return x.tape._record(out, (x.node_id,), vjp)
+    return _unary(x, out, vjp)
 
 
 def reduce_sum(x: DiffArray, axis=None) -> DiffArray:
@@ -436,31 +441,27 @@ def reduce_sum(x: DiffArray, axis=None) -> DiffArray:
     ``reduce_sum(x, axis=(-2, -1))`` on a (B, H, W) batch gives the (B,)
     per-example totals. The gradient broadcasts back over the summed axes.
     """
-    shape = x.values.shape
-    out = np.asarray(x.values.sum(axis=axis))
+    xv = _values(x)
+    shape = xv.shape
+    out = np.asarray(xv.sum(axis=axis))
     summed = range(len(shape)) if axis is None else {a % len(shape) for a in np.atleast_1d(axis)}
     kept = tuple(1 if i in summed else n for i, n in enumerate(shape))
-    return x.tape._record(
-        out, (x.node_id,), lambda g: (np.broadcast_to(np.reshape(g, kept), shape).copy(),)
-    )
+    return _unary(x, out, lambda g: (np.broadcast_to(np.reshape(g, kept), shape).copy(),))
 
 
 def l1_diff(a: DiffArray, b) -> DiffArray:
     """Sum of elementwise absolute differences against a constant array.
 
-    Subgradient convention sign(0) = 0; an exact zero residual marks the
-    tape as at a kink.
+    Subgradient convention sign(0) = 0; under grad_check an exact zero
+    residual marks the evaluation as at a kink.
     """
-    bv = _values(b)
-    if a.values.shape != bv.shape:
-        raise ValueError(f"shape mismatch: {a.values.shape} vs {bv.shape}")
-    r = a.values - bv
-    if np.any(r == 0.0):
-        a.tape.at_kink = True
+    av, bv = _values(a), _values(b)
+    if av.shape != bv.shape:
+        raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
+    r = av - bv
     s = np.sign(r)
-    a.tape.kink_signature.append(s)
-    out = np.asarray(np.abs(r).sum())
-    return a.tape._record(out, (a.node_id,), lambda g: (g * s,))
+    _note_kink(a, s, lambda: np.any(r == 0.0))
+    return _unary(a, np.asarray(np.abs(r).sum()), lambda g: (g * s,))
 
 
 class Gradients:
@@ -496,6 +497,8 @@ def backward(tape: Tape, seed: DiffArray) -> Gradients:
     interior node's gradient is dropped as soon as it has been passed on to
     its parents, so only leaf gradients survive the pass.
     """
+    if not isinstance(seed, DiffArray):
+        raise ValueError("backward seed is a constant: no input was on a tape, so no gradient")
     if seed.tape is not tape:
         raise ValueError("seed does not belong to this tape")
     if seed.values.ndim != 0:
@@ -531,10 +534,11 @@ class GradCheckResult:
 def grad_check(fn, point, step: float = 1e-5, coords=None) -> GradCheckResult:
     """Check ``fn``'s gradient at ``point`` against central finite differences.
 
-    ``fn`` maps a DiffArray to a scalar DiffArray; a fresh tape is built for
-    every evaluation. Relative errors use max(|analytic|, |numeric|, 1e-8)
-    as denominator. A coordinate is flagged and excluded from the reported
-    maximum when its difference stencil is invalid: either an evaluation
+    ``fn`` maps a DiffArray to a scalar DiffArray; a fresh tape, one that
+    also records kinks, is built for every evaluation. Relative errors use
+    max(|analytic|, |numeric|, 1e-8) as denominator. A coordinate is
+    flagged and excluded from the reported maximum when its difference
+    stencil is invalid: either an evaluation
     lands exactly on a subgradient point, or the two perturbed evaluations
     fall on different sides of some kink (detected via the tapes' kink
     signatures), where central differences do not estimate the derivative.
@@ -544,7 +548,7 @@ def grad_check(fn, point, step: float = 1e-5, coords=None) -> GradCheckResult:
     x0 = np.asarray(point, dtype=np.float64)
 
     def evaluate(x):
-        tape = Tape()
+        tape = _KinkTape()
         p = new_param(tape, x)
         y = fn(p)
         if not isinstance(y, DiffArray) or y.values.ndim != 0:

@@ -19,7 +19,6 @@ from .. import autodiff as ad
 from ..datagen import Corpus
 from ..losses import (
     LossWeights,
-    density_loss,
     strong_cls_loss,
     strong_count_loss,
     weak_cls_loss,
@@ -27,6 +26,7 @@ from ..losses import (
 )
 from ..model import CountModel
 from ..targets import (
+    GRID_FACTOR,
     default_sigma,
     gaussian_density,
     grid_cardinality,
@@ -247,17 +247,18 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
     if len(data.train) == 0:
         raise ValueError("empty training corpus")
 
-    factor = model.config.grid_factor
     rng = np.random.default_rng(config.seed)
     w = config.weights
 
     if config.stage == "strong":
-        strong_pool = _prepare_strong(data.train, config, factor)
+        strong_pool = _prepare_strong(data.train, config, GRID_FACTOR)
         weak_pool: list[_WeakExample] = []
     else:
-        weak_pool = _prepare_weak(data.train, factor)
+        weak_pool = _prepare_weak(data.train, GRID_FACTOR)
         strong_pool = (
-            _prepare_strong(data.strong_mix, config, factor) if data.strong_mix is not None else []
+            _prepare_strong(data.strong_mix, config, GRID_FACTOR)
+            if data.strong_mix is not None
+            else []
         )
 
     lr_map = {}

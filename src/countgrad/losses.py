@@ -24,12 +24,10 @@ from .targets import CardinalityMap, ClassGrid, DensityMap, WeakGrids
 __all__ = [
     "LossWeights",
     "BCE_EPS",
-    "density_loss",
     "strong_count_loss",
     "strong_cls_loss",
     "weak_cls_loss",
     "weak_count_loss",
-    "weighted_total",
     "guidance_loss",
 ]
 
@@ -65,13 +63,10 @@ def _grid_of(target) -> np.ndarray:
     return np.asarray(target, dtype=np.float64)
 
 
-def density_loss(pred: ad.DiffArray, target: DensityMap | np.ndarray) -> ad.DiffArray:
-    """Summed L1 between predicted grid and a Gaussian density target."""
-    return ad.l1_diff(pred, _grid_of(target))
-
-
-def strong_count_loss(pred: ad.DiffArray, target: CardinalityMap | np.ndarray) -> ad.DiffArray:
-    """Summed L1 between predicted grid and the cardinality target."""
+def strong_count_loss(
+    pred: ad.DiffArray, target: CardinalityMap | DensityMap | np.ndarray
+) -> ad.DiffArray:
+    """Summed L1 between predicted grid and the cardinality (or Gaussian density) target."""
     return ad.l1_diff(pred, _grid_of(target))
 
 
@@ -124,13 +119,6 @@ def weak_count_loss(pred: ad.DiffArray, count) -> ad.DiffArray:
         raise ValueError("count must be non-negative")
     totals = ad.reduce_sum(pred, axis=tuple(range(counts.ndim, pred.values.ndim)))
     return ad.l1_diff(totals, counts)
-
-
-def weighted_total(count_loss: ad.DiffArray, cls_loss: ad.DiffArray, alpha: float, beta: float) -> ad.DiffArray:
-    """alpha * count + beta * cls, the per-stage combined objective."""
-    if alpha < 0 or beta < 0:
-        raise ValueError("weights must be non-negative")
-    return ad.add(ad.scale(count_loss, alpha), ad.scale(cls_loss, beta))
 
 
 def guidance_loss(pred: ad.DiffArray, q_req: float) -> ad.DiffArray:

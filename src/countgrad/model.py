@@ -17,12 +17,12 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.special import expit
 
 from . import autodiff as ad
+from .targets import GRID_FACTOR
 
 __all__ = [
     "ModelConfig",
@@ -41,7 +41,6 @@ CHECKPOINT_VERSION = 1
 @dataclass(frozen=True)
 class ModelConfig:
     input_size: int = 64
-    grid_factor: int = 8
     channels: tuple[int, int, int] = (8, 16, 24)
     fused_channels: int = 24
     embed_dim: int = 8
@@ -49,11 +48,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid_factor != 8:
-            # three stride-2 trunk stages plus one stride-2 head fix the ratio
-            raise ValueError("architecture produces a fixed 1/8 grid; grid_factor must be 8")
-        if self.input_size < 16 or self.input_size % self.grid_factor:
-            raise ValueError("input_size must be a multiple of 8, at least 16")
+        # three stride-2 trunk stages plus one stride-2 head give the 1/GRID_FACTOR grid
+        if self.input_size < 16 or self.input_size % GRID_FACTOR:
+            raise ValueError(f"input_size must be a multiple of {GRID_FACTOR}, at least 16")
         if len(self.channels) != 3 or min(self.channels) < 1:
             raise ValueError("channels must be three positive widths")
         if self.embed_dim < 1 or self.num_categories < 1:
@@ -61,14 +58,36 @@ class ModelConfig:
 
     @property
     def grid_size(self) -> int:
-        return self.input_size // self.grid_factor
+        return self.input_size // GRID_FACTOR
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
+        """Parse a config echo; every field must be present, none unknown.
+
+        A missing, unknown or ill-typed field raises a ValueError naming it.
+        """
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("config is not a JSON object")
+        # configs written while this field existed echo its one legal value
+        legacy = raw.pop("grid_factor", GRID_FACTOR)
+        if legacy != GRID_FACTOR:
+            raise ValueError(f"grid_factor {legacy!r}: the grid is fixed at 1/{GRID_FACTOR}")
+        names = {f.name for f in fields(cls)}
+        odd = sorted(names ^ set(raw))
+        if odd:
+            kind = "unknown" if odd[0] in raw else "missing"
+            raise ValueError(f"{kind} config field {odd[0]!r}")
+        for name, value in raw.items():
+            if name == "channels":
+                ok = isinstance(value, list) and all(type(v) is int for v in value)
+            else:
+                ok = type(value) is int
+            if not ok:
+                raise ValueError(f"config field {name!r} has bad value {value!r}")
         raw["channels"] = tuple(raw["channels"])
         return cls(**raw)
 
@@ -111,11 +130,12 @@ class ForwardPass:
     """Handles returned by one on-tape evaluation.
 
     Grids are (grid, grid) for a single image and (B, grid, grid) for a
-    batch of B images.
+    batch of B images. They are plain arrays when nothing they depend on
+    was on the tape (frozen weights and a constant image).
     """
 
-    y_cnt: ad.DiffArray  # non-negative
-    y_cls: ad.DiffArray  # in (0, 1)
+    y_cnt: ad.DiffArray | np.ndarray  # non-negative
+    y_cls: ad.DiffArray | np.ndarray  # in (0, 1)
     params: dict[str, ad.DiffArray] | None = None
 
 
@@ -193,9 +213,11 @@ class CountModel:
         ``tape`` (the guidance path). ``category_id`` is one category for
         every row or a sequence of B, one per row. Rows never interact, so
         a batch's outputs are its rows' single-image outputs up to float64
-        rounding. With ``trainable`` the weights are registered as
-        parameters and returned for gradient reads; otherwise they enter as
-        constants and only image-dependent work is recorded.
+        rounding. There is one network definition: ``trainable`` only
+        chooses whether the weights enter as parameters, registered on the
+        tape and returned for gradient reads, or as constants. Constants
+        fold (see ``autodiff``), so a frozen forward records only the
+        image-dependent work, and nothing at all for a constant image.
         """
         cfg = self.config
         n = cfg.input_size
@@ -212,32 +234,16 @@ class CountModel:
         if cats.min() < 0 or cats.max() >= cfg.num_categories:
             raise ValueError(f"unknown category {category_id}")
 
-        if isinstance(image, ad.DiffArray):
-            x = ad.reshape(image, (b, n, n, 1))
-        else:
-            x = np.asarray(image, dtype=np.float64).reshape(b, n, n, 1)
-            if not trainable:
-                # nothing else would be on the tape for the first convolution
-                x = ad.new_param(tape, x)
+        x = ad.reshape(image, (b, n, n, 1))
+        params = {k: ad.new_param(tape, v) for k, v in self.weights.items()} if trainable else None
+        w = params if trainable else self.weights
 
         c2, c3 = cfg.channels[1:]
-        params: dict[str, ad.DiffArray] | None = None
-        if trainable:
-            params = {k: ad.new_param(tape, v) for k, v in self.weights.items()}
-            w = params
-            emb = ad.take_index(w["embed"], cats)
-            gate2 = ad.sigmoid(ad.add(ad.matvec(w["attn2_w"], emb), w["attn2_b"]))
-            gate3 = ad.sigmoid(ad.add(ad.matvec(w["attn3_w"], emb), w["attn3_b"]))
-            gate2, gate3 = ad.reshape(gate2, (b, 1, 1, c2)), ad.reshape(gate3, (b, 1, 1, c3))
-            cls_query = ad.add(ad.matvec(w["cls_proj_w"], emb), w["cls_proj_b"])
-            scale_node, bias_node = w["cls_logit_scale"], w["cls_logit_bias"]
-        else:
-            w = self.weights
-            emb_v = w["embed"][cats][..., None]
-            gate2 = expit((w["attn2_w"] @ emb_v)[..., 0] + w["attn2_b"]).reshape(b, 1, 1, c2)
-            gate3 = expit((w["attn3_w"] @ emb_v)[..., 0] + w["attn3_b"]).reshape(b, 1, 1, c3)
-            cls_query = (w["cls_proj_w"] @ emb_v)[..., 0] + w["cls_proj_b"]
-            scale_node, bias_node = float(w["cls_logit_scale"]), float(w["cls_logit_bias"])
+        emb = ad.take_index(w["embed"], cats)
+        gate2 = ad.sigmoid(ad.add(ad.matvec(w["attn2_w"], emb), w["attn2_b"]))
+        gate3 = ad.sigmoid(ad.add(ad.matvec(w["attn3_w"], emb), w["attn3_b"]))
+        gate2, gate3 = ad.reshape(gate2, (b, 1, 1, c2)), ad.reshape(gate3, (b, 1, 1, c3))
+        cls_query = ad.add(ad.matvec(w["cls_proj_w"], emb), w["cls_proj_b"])
 
         def block(h, kname, bname, stride):
             return ad.leaky_relu(
@@ -276,14 +282,16 @@ class CountModel:
         )
         # each row's cells against its own category's query vector
         cell_feats = ad.reshape(f_cls, (b, g * g, cfg.fused_channels))
-        logits = ad.add(ad.mul(ad.matvec(cell_feats, cls_query), scale_node), bias_node)
+        logits = ad.add(
+            ad.mul(ad.matvec(cell_feats, cls_query), w["cls_logit_scale"]), w["cls_logit_bias"]
+        )
         y_cls = ad.reshape(ad.sigmoid(logits), out_shape)
         return ForwardPass(y_cnt, y_cls, params)
 
     def forward(self, image: np.ndarray, category_id) -> tuple[np.ndarray, np.ndarray]:
         """Plain-array forward: (cardinality grid, class-probability grid)."""
         out = self.forward_on_tape(ad.Tape(), image, category_id)
-        return out.y_cnt.values, out.y_cls.values
+        return out.y_cnt, out.y_cls
 
     # -- inference-time counts ----------------------------------------------
 
@@ -305,32 +313,25 @@ class CountModel:
         image: np.ndarray,
         category_id: int,
         tile_size: int | None = None,
-        stride: int | None = None,
         kappa: float = 0.0,
     ) -> float:
         """Clip-and-aggregate counting for images larger than the input size.
 
         The image is padded at the right/bottom borders (with its own
         minimum, i.e. the darkest background present) to a whole number of
-        tiles, and per-tile counts are summed.
+        non-overlapping tiles, and per-tile counts are summed.
         """
         tile = tile_size or self.config.input_size
         if tile != self.config.input_size:
             raise ValueError("tile size must equal the model input size")
-        step = stride or tile
-        if step < 1 or step > tile:
-            raise ValueError("stride must lie in [1, tile size]")
         arr = np.asarray(image, dtype=np.float64)
         h, w = arr.shape
-        nr = max(1, math.ceil((h - tile) / step) + 1)
-        nc = max(1, math.ceil((w - tile) / step) + 1)
-        ph = (nr - 1) * step + tile
-        pw = (nc - 1) * step + tile
-        padded = np.full((ph, pw), arr.min(), dtype=np.float64)
+        nr, nc = max(1, math.ceil(h / tile)), max(1, math.ceil(w / tile))
+        padded = np.full((nr * tile, nc * tile), arr.min(), dtype=np.float64)
         padded[:h, :w] = arr
         counts = [
             self.thresholded_count(
-                padded[i * step : i * step + tile, j * step : j * step + tile],
+                padded[i * tile : (i + 1) * tile, j * tile : (j + 1) * tile],
                 category_id,
                 kappa,
             )
@@ -395,7 +396,11 @@ def load_checkpoint(path) -> CountModel:
     version = r.u(2)
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported version {version}")
-    cfg = ModelConfig.from_json(r.take(r.u(4)).decode())
+    echo = r.take(r.u(4))
+    try:
+        cfg = ModelConfig.from_json(echo.decode())
+    except ValueError as exc:  # includes malformed JSON and undecodable bytes
+        raise CheckpointError(f"config echo: {exc}") from exc
     weights: dict[str, np.ndarray] = {}
     for _ in range(r.u(2)):
         name = r.take(r.u(2)).decode()

@@ -257,29 +257,6 @@ class TestConvAndPooling:
         np.testing.assert_array_equal(y.values[:2, :2, 0], 0.0)
         np.testing.assert_array_equal(y.values[2:, 2:, 0], 3.0)
 
-    def test_grid_pool_sum_gradient(self):
-        rng = np.random.default_rng(24)
-
-        def fn(x):
-            y = ad.grid_pool_sum(x, 2)
-            return ad.reduce_sum(ad.mul(y, y))
-
-        check(fn, rng.normal(size=(6, 4)))
-
-    def test_grid_pool_sum_conserves_total(self):
-        rng = np.random.default_rng(25)
-        xv = rng.uniform(size=(16, 16))
-        tape = ad.Tape()
-        pooled = ad.grid_pool_sum(ad.new_param(tape, xv), 8)
-        assert pooled.shape == (2, 2)
-        np.testing.assert_allclose(pooled.values.sum(), xv.sum(), rtol=1e-12)
-
-    def test_grid_pool_sum_divisibility(self):
-        tape = ad.Tape()
-        x = ad.new_param(tape, np.zeros((5, 4)))
-        with pytest.raises(ValueError):
-            ad.grid_pool_sum(x, 2)
-
 
 class TestBatched:
     """The leading batch axis the training tapes use, checked at batch > 1."""
@@ -408,10 +385,8 @@ class TestReductionsAndL1:
         check(fn, target + rng.uniform(0.5, 1.0, size=(4, 4)) * rng.choice([-1, 1], size=(4, 4)))
 
     def test_l1_diff_marks_kink_on_zero_residual(self):
-        tape = ad.Tape()
-        x = ad.new_param(tape, np.array([1.0, 2.0]))
-        ad.l1_diff(x, np.array([1.0, 5.0]))
-        assert tape.at_kink
+        res = ad.grad_check(lambda x: ad.l1_diff(x, np.array([1.0, 5.0])), np.array([1.0, 2.0]))
+        assert res.at_kink
 
     def test_l1_diff_sign_zero_subgradient(self):
         tape = ad.Tape()
@@ -419,6 +394,68 @@ class TestReductionsAndL1:
         loss = ad.l1_diff(x, np.array([3.0, 0.0]))
         grads = ad.backward(tape, loss)
         np.testing.assert_array_equal(grads.wrt(x), [0.0, 1.0])
+
+
+_rng = np.random.default_rng(60)
+_POS = _rng.uniform(0.5, 1.5, size=(2, 3))
+_ANY = _rng.normal(size=(2, 3))
+_MAT = _rng.normal(size=(4, 3))
+_IMGS = _rng.normal(size=(2, 5, 5, 2))
+_KER = _rng.normal(size=(3, 3, 2, 3))
+
+# (primitive, call, operands): every array primitive, given its operands
+FOLD_CASES = [
+    ("add", ad.add, (_POS, _ANY)),
+    ("sub", ad.sub, (_POS, _ANY)),
+    ("mul", ad.mul, (_POS, _ANY)),
+    ("neg", ad.neg, (_ANY,)),
+    ("scale", lambda x: ad.scale(x, 1.7), (_ANY,)),
+    ("matvec", ad.matvec, (_MAT, _ANY)),
+    ("take_index", lambda x: ad.take_index(x, np.array([1, 0, 1])), (_ANY,)),
+    ("reshape", lambda x: ad.reshape(x, (3, 2)), (_ANY,)),
+    ("concat_channels", ad.concat_channels, (_POS, _ANY)),
+    ("sigmoid", ad.sigmoid, (_ANY,)),
+    ("softplus", ad.softplus, (_ANY,)),
+    ("leaky_relu", ad.leaky_relu, (_ANY,)),
+    ("log", ad.log, (_POS,)),
+    ("sqrt", ad.sqrt, (_POS,)),
+    ("clamp", lambda x: ad.clamp(x, -0.5, 0.5), (_ANY,)),
+    ("conv2d", lambda x, k: ad.conv2d(x, k, stride=2, padding=1), (_IMGS, _KER)),
+    ("upsample_nearest", ad.upsample_nearest, (_IMGS,)),
+    ("reduce_sum", lambda x: ad.reduce_sum(x, axis=-1), (_ANY,)),
+    ("l1_diff", lambda x: ad.l1_diff(x, _POS), (_ANY,)),
+]
+
+
+class TestConstantFolding:
+    """A primitive whose operands are all constants returns a plain array, unrecorded."""
+
+    def test_cases_cover_every_primitive(self):
+        not_primitives = {
+            "Tape", "DiffArray", "Gradients", "GradCheckResult", "new_param", "backward", "grad_check"
+        }
+        assert {name for name, _, _ in FOLD_CASES} == set(ad.__all__) - not_primitives
+
+    @pytest.mark.parametrize("name,call,operands", FOLD_CASES, ids=[c[0] for c in FOLD_CASES])
+    def test_constants_fold_to_the_recorded_values(self, name, call, operands):
+        tape = ad.Tape()
+        recorded = call(*(ad.new_param(tape, v) for v in operands))
+        n_nodes = len(tape)
+        folded = call(*operands)
+        assert type(folded) is np.ndarray
+        np.testing.assert_array_equal(folded, recorded.values)
+        assert len(tape) == n_nodes
+
+    def test_backward_rejects_a_folded_constant(self):
+        with pytest.raises(ValueError, match="constant"):
+            ad.backward(ad.Tape(), ad.reduce_sum(np.ones(3)))
+
+    def test_ordinary_tape_holds_no_kink_data(self):
+        # only grad_check's tapes track kinks, though every op below is evaluated at one
+        tape = ad.Tape()
+        x = ad.new_param(tape, np.array([0.0, 1.0, -2.0]))
+        ad.l1_diff(ad.clamp(ad.leaky_relu(x), 0.0, 1.0), np.zeros(3))
+        assert not hasattr(tape, "at_kink") and not hasattr(tape, "kink_signature")
 
 
 class TestTapeMechanics:
@@ -532,8 +569,9 @@ class TestGradCheckHarness:
             tape = x.tape
             h = ad.conv2d(x, k1, stride=2, padding=1)
             h = ad.sigmoid(h)
-            pooled = ad.grid_pool_sum(ad.reshape(ad.softplus(h), (4, 4 * 4)), 4)
-            v = ad.reshape(pooled, (4,))
+            # sum-pool the (4, 16) map over 4x4 blocks into 4 values
+            blocks = ad.reshape(ad.softplus(h), (1, 4, 4, 4))
+            v = ad.reshape(ad.reduce_sum(blocks, axis=(1, 3)), (4,))
             out = ad.matvec(ad.new_param(tape, w), v)
             return ad.reduce_sum(ad.mul(out, out))
 

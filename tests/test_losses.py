@@ -7,15 +7,13 @@ from countgrad import autodiff as ad
 from countgrad.losses import (
     BCE_EPS,
     LossWeights,
-    density_loss,
     guidance_loss,
     strong_cls_loss,
     strong_count_loss,
     weak_cls_loss,
     weak_count_loss,
-    weighted_total,
 )
-from countgrad.targets import WeakGrids
+from countgrad.targets import DensityMap, WeakGrids
 
 
 def as_node(values):
@@ -28,12 +26,12 @@ class TestCountLosses:
         target = np.arange(4.0).reshape(2, 2)
         _, pred = as_node(target.copy())
         assert float(strong_count_loss(pred, target).values) == 0.0
-        assert float(density_loss(pred, target).values) == 0.0
+        assert float(strong_count_loss(pred, DensityMap(target, 1.0)).values) == 0.0
 
     def test_uniform_offset(self):
         target = np.zeros((2, 2))
         _, pred = as_node(target + 0.1)
-        assert float(density_loss(pred, target).values) == pytest.approx(0.4)
+        assert float(strong_count_loss(pred, DensityMap(target, 1.0)).values) == pytest.approx(0.4)
 
     def test_all_zero_pred_mass_q(self):
         rng = np.random.default_rng(0)
@@ -126,23 +124,6 @@ class TestWeakLosses:
 
 
 class TestCombination:
-    def test_weighted_total_values(self):
-        tape = ad.Tape()
-        cnt = ad.new_param(tape, np.asarray(2.0))
-        cls = ad.new_param(tape, np.asarray(0.5))
-        assert float(weighted_total(cnt, cls, 1.0, 0.1).values) == pytest.approx(2.05)
-        assert float(weighted_total(cnt, cls, 0.0, 1.0).values) == pytest.approx(0.5)
-        zero = ad.new_param(tape, np.asarray(0.0))
-        assert float(weighted_total(zero, zero, 1.0, 0.1).values) == 0.0
-
-    def test_linearity_in_weights(self):
-        tape = ad.Tape()
-        cnt = ad.new_param(tape, np.asarray(1.7))
-        cls = ad.new_param(tape, np.asarray(0.3))
-        base = float(weighted_total(cnt, cls, 1.0, 0.1).values)
-        scaled = float(weighted_total(cnt, cls, 3.0, 0.3).values)
-        assert scaled == pytest.approx(3.0 * base)
-
     def test_weights_validation(self):
         with pytest.raises(ValueError):
             LossWeights(alpha1=-0.1)

@@ -1,6 +1,8 @@
 """Network contracts: shapes, ranges, gradients, count extraction, checkpoints."""
 
+import json
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -89,6 +91,18 @@ class TestForward:
             model.forward(images, [0, 1])
         with pytest.raises(ValueError):
             model.forward(images, [0, 1, 2])
+
+    def test_frozen_forward_of_constant_image_records_nothing(self):
+        # one network definition: frozen weights only fold, never change a bit
+        model = CountModel.create(SMALL)
+        images = np.random.default_rng(10).uniform(0.0, 1.0, (3, 16, 16))
+        cats = [1, 0, 1]
+        tape = ad.Tape()
+        frozen = model.forward_on_tape(tape, images, cats)
+        assert len(tape) == 0
+        trained = model.forward_on_tape(ad.Tape(), images, cats, trainable=True)
+        np.testing.assert_array_equal(frozen.y_cnt, trained.y_cnt.values)
+        np.testing.assert_array_equal(frozen.y_cls, trained.y_cls.values)
 
     def test_repeated_forward_stays_finite(self):
         model = CountModel.create(SMALL)
@@ -224,6 +238,18 @@ class TestCounts:
             model.tiled_count(np.zeros((128, 128)), 0, tile_size=32)
 
 
+def rewrite_config_echo(path, edit):
+    """Pass a checkpoint's config JSON through ``edit(dict)``, keeping the envelope valid."""
+    blob = path.read_bytes()
+    body = blob[4:-4]
+    n = int.from_bytes(body[2:6], "little")
+    cfg = json.loads(body[6 : 6 + n])
+    edit(cfg)
+    text = json.dumps(cfg, sort_keys=True).encode()
+    body = body[:2] + len(text).to_bytes(4, "little") + text + body[6 + n :]
+    path.write_bytes(blob[:4] + body + zlib.crc32(body).to_bytes(4, "little"))
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         model = CountModel.create(ModelConfig(seed=42))
@@ -246,6 +272,36 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for name in model.weights:
             np.testing.assert_array_equal(loaded.weights[name], model.weights[name])
+
+    def test_legacy_grid_factor_loads_bitwise(self, tmp_path):
+        # version-1 files written while ModelConfig had grid_factor echo it as 8
+        model = CountModel.create(SMALL)
+        path = tmp_path / "legacy.ckpt"
+        save_checkpoint(model, path)
+        rewrite_config_echo(path, lambda cfg: cfg.update(grid_factor=8))
+        loaded = load_checkpoint(path)
+        assert loaded.config == model.config
+        for name in model.weights:
+            np.testing.assert_array_equal(loaded.weights[name], model.weights[name])
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda cfg: cfg.update(grid_factor=4), "grid_factor"),
+            (lambda cfg: cfg.update(depth=3), "depth"),
+            (lambda cfg: cfg.pop("embed_dim"), "embed_dim"),
+            (lambda cfg: cfg.update(input_size="16"), "input_size"),
+            (lambda cfg: cfg.update(input_size=20), "input_size"),
+            (lambda cfg: cfg.update(channels=[2, 3]), "channels"),
+        ],
+        ids=["legacy-grid-factor-4", "unknown", "missing", "wrong-type", "bad-size", "bad-channels"],
+    )
+    def test_bad_config_echo_names_the_field(self, tmp_path, edit, field):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(CountModel.create(SMALL), path)
+        rewrite_config_echo(path, edit)
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
 
     def test_bad_magic_reports_position(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -276,13 +332,19 @@ class TestCheckpoint:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ModelConfig(grid_factor=4)
-        with pytest.raises(ValueError):
             ModelConfig(input_size=60)
         with pytest.raises(ValueError):
             ModelConfig(channels=(4, 8))
         with pytest.raises(ValueError):
             ModelConfig(num_categories=0)
+
+    def test_legacy_grid_factor(self):
+        cfg = ModelConfig(input_size=32)
+        assert "grid_factor" not in json.loads(cfg.to_json())
+        legacy = {**json.loads(cfg.to_json()), "grid_factor": 8}
+        assert ModelConfig.from_json(json.dumps(legacy)) == cfg
+        with pytest.raises(ValueError, match="grid_factor"):
+            ModelConfig.from_json(json.dumps({**legacy, "grid_factor": 4}))
 
     def test_json_round_trip(self):
         cfg = ModelConfig(input_size=32, channels=(4, 6, 8), seed=9)
