@@ -38,17 +38,23 @@ res = ad.grad_check(conv_loss_k, kernel)
 print(f"conv2d wrt kernel: max relative error {res.max_rel_error:.2e}")
 
 
-# A composite expression through several primitives at once.
+# A composite expression through several primitives at once. The kernel is
+# drawn once: the function must be the same at every probe of the check.
+w_composite = rng.normal(size=(4, 4, 1, 2))
+
+
 def composite(v):
-    t = v.tape
-    w = ad.new_param(t, rng.normal(size=(4, 4, 1, 2)))
+    w = ad.new_param(v.tape, w_composite)
     h = ad.leaky_relu(ad.conv2d(v, w, stride=2, padding=1))
     return ad.reduce_sum(ad.mul(ad.sigmoid(h), h))
 
 
 y = rng.uniform(0.2, 0.8, size=(8, 8, 1))
 res = ad.grad_check(composite, y)
-print(f"composite        : max relative error {res.max_rel_error:.2e}")
+print(
+    f"composite        : max relative error {res.max_rel_error:.2e} over {y.size} coordinates, "
+    f"{len(res.kink_coords)} kink coordinates"
+)
 
 # Kink handling: evaluate leaky_relu exactly at zero and the result says so.
 z = np.array([0.0, 1.0, -2.0])

@@ -23,9 +23,10 @@ from .harness import (
     GuidanceConfig,
     StageData,
     TrainConfig,
-    evaluate,
+    compute_metrics,
     guide_optimize,
     init_blob_params,
+    predict_counts,
     render_blob_scene,
     run_ablation,
     size_bias_sweep,
@@ -284,25 +285,17 @@ def cmd_eval(cfg, seed, outdir):
     kappa = s.getfloat("kappa", 0.0)
     tile_size = s.getint("tile_size") if s.get("tile_size") else None
 
-    rows = []
-    for item in corpus.items:
-        sample = item.sample
-        truth = sample.scene.count(sample.category_id)
-        if tile_size is not None:
-            pred = model.tiled_count(sample.scene.image, sample.category_id, tile_size, kappa=kappa)
-        else:
-            pred = model.thresholded_count(sample.scene.image, sample.category_id, kappa)
-        rows.append([item.scene_id, truth, pred, pred - truth])
-    err = np.array([r[3] for r in rows])
-    mae = float(np.abs(err).mean())
-    rmse = float(np.sqrt((err**2).mean()))
+    preds = predict_counts(model, corpus, kappa, tile_size)
+    truths = [item.sample.scene.count(item.sample.category_id) for item in corpus.items]
+    rows = [[item.scene_id, t, p, p - t] for item, t, p in zip(corpus.items, truths, preds)]
+    m = compute_metrics(preds, truths)
 
     per_image = os.path.join(outdir, "per_image.csv")
     _write_csv(per_image, ["scene_id", "truth", "pred", "error"], rows)
     summary_path = os.path.join(outdir, "summary.txt")
     _write_summary(
         summary_path,
-        [f"images: {len(rows)}", f"kappa: {kappa}", f"MAE: {mae:.4f}", f"RMSE: {rmse:.4f}"],
+        [f"images: {m.n}", f"kappa: {kappa}", f"MAE: {m.mae:.4f}", f"RMSE: {m.rmse:.4f}"],
     )
     return [per_image, summary_path]
 

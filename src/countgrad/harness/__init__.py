@@ -8,6 +8,7 @@ from .train import (
     TrainingDivergence,
     compute_metrics,
     evaluate,
+    predict_counts,
     train_stage,
 )
 from .blob import (
@@ -37,6 +38,7 @@ __all__ = [
     "Metrics",
     "TrainingDivergence",
     "compute_metrics",
+    "predict_counts",
     "evaluate",
     "train_stage",
     "BlobSceneParams",

@@ -13,8 +13,8 @@ import numpy as np
 from ..datagen import Corpus
 from ..losses import LossWeights
 from ..model import CountModel, ModelConfig, count_above
-from ..raster import downscale_and_pad
-from .train import StageData, TrainConfig, compute_metrics, evaluate, train_stage
+from ..raster import downscale_image
+from .train import StageData, TrainConfig, compute_metrics, evaluate, predict_counts, train_stage
 
 __all__ = [
     "SizeBiasRow",
@@ -62,21 +62,18 @@ class AblationRow:
     rmse: float
 
 
-def _base_predictions(model: CountModel, corpus: Corpus) -> list[float]:
-    return [
-        model.thresholded_count(s.scene.image, s.category_id, 0.0) for s in corpus.samples()
-    ]
-
-
 def _drifts(model: CountModel, corpus: Corpus, ratio: float, base: list[float]):
-    """Per-scene drift and prediction at one ratio; ratio 1.0 reuses base."""
-    preds = []
-    for i, sample in enumerate(corpus.samples()):
-        if ratio == 1.0:
-            preds.append(base[i])
-        else:
-            scaled = downscale_and_pad(sample.scene, ratio)
-            preds.append(model.thresholded_count(scaled.image, sample.category_id, 0.0))
+    """Per-scene drift and prediction at one ratio; ratio 1.0 reuses base.
+
+    The rescaled images run as one stack through ``model.forward``.
+    """
+    if ratio == 1.0:
+        preds = list(base)
+    else:
+        samples = corpus.samples()
+        images = [downscale_image(s.scene.image, ratio, s.scene.background) for s in samples]
+        y_cnt, y_cls = model.forward(np.stack(images), [s.category_id for s in samples])
+        preds = [count_above(c, p, 0.0) for c, p in zip(y_cnt, y_cls)]
     drifts = [p - b for p, b in zip(preds, base)]
     return np.asarray(drifts), preds
 
@@ -97,7 +94,7 @@ def size_bias_sweep(
         raise ValueError("size-bias protocol expects counts of at most 30")
     rows = []
     for name, model in models.items():
-        base = _base_predictions(model, corpus)
+        base = predict_counts(model, corpus)
         truths = [s.scene.count(s.category_id) for s in corpus.samples()]
         for ratio in ratios:
             drifts, preds = _drifts(model, corpus, ratio, base)
@@ -130,7 +127,7 @@ def size_class_drift(
 ) -> list[SizeClassRow]:
     """Signed drift broken down by object size class, per ratio."""
     classes = _size_classes(corpus)
-    base = _base_predictions(model, corpus)
+    base = predict_counts(model, corpus)
     rows = []
     for ratio in ratios:
         drifts, _ = _drifts(model, corpus, ratio, base)
@@ -148,23 +145,23 @@ def threshold_sweep(
 ) -> tuple[list[ThresholdRow], float]:
     """Evaluate at each classification threshold; returns rows and argmin kappa.
 
-    One forward per image serves every kappa; each count goes through the
-    same rule as thresholded_count, so every row equals evaluate at its kappa.
+    The corpus runs as one stack through ``model.forward`` (batched
+    forwards), and those grids serve every kappa. Each count goes through
+    the same rule as thresholded_count, so every row equals evaluate at its
+    kappa bit for bit.
     """
     if any(not 0.0 <= k < 1.0 for k in kappas):
         raise ValueError("kappa values must lie in [0, 1)")
     if len(corpus) == 0:
         raise ValueError("cannot evaluate on an empty corpus")
-    preds: list[list[float]] = [[] for _ in kappas]
-    truths = []
-    for s in corpus.samples():
-        y_cnt, y_cls = model.forward(s.scene.image, s.category_id)
-        for per_kappa, kappa in zip(preds, kappas):
-            per_kappa.append(count_above(y_cnt, y_cls, kappa))
-        truths.append(s.scene.count(s.category_id))
+    samples = corpus.samples()
+    y_cnt, y_cls = model.forward(
+        np.stack([s.scene.image for s in samples]), [s.category_id for s in samples]
+    )
+    truths = [s.scene.count(s.category_id) for s in samples]
     rows = []
-    for per_kappa, kappa in zip(preds, kappas):
-        m = compute_metrics(per_kappa, truths)
+    for kappa in kappas:
+        m = compute_metrics([count_above(c, p, kappa) for c, p in zip(y_cnt, y_cls)], truths)
         rows.append(ThresholdRow(kappa, m.mae, m.rmse))
     best = min(rows, key=lambda r: r.mae)
     return rows, best.kappa

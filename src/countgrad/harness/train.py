@@ -24,7 +24,7 @@ from ..losses import (
     weak_cls_loss,
     weak_count_loss,
 )
-from ..model import CountModel
+from ..model import IMAGES_PER_FORWARD, CountModel, count_above
 from ..targets import (
     GRID_FACTOR,
     default_sigma,
@@ -42,6 +42,7 @@ __all__ = [
     "Metrics",
     "TrainingDivergence",
     "compute_metrics",
+    "predict_counts",
     "evaluate",
     "train_stage",
 ]
@@ -104,6 +105,33 @@ def compute_metrics(preds, truths) -> Metrics:
     return Metrics(float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err))), preds.size)
 
 
+def predict_counts(
+    model: CountModel,
+    corpus: Corpus,
+    kappa: float = 0.0,
+    tile_size: int | None = None,
+) -> list[float]:
+    """Per-image predicted counts over a corpus, in corpus order.
+
+    Whole images run as one stack through ``model.forward`` (batched
+    forwards); with ``tile_size`` each image is tiled and its tiles stack.
+    Each count is the one a single-image ``thresholded_count`` or
+    ``tiled_count`` call gives (the tests hold them equal bit for bit).
+    """
+    if len(corpus) == 0:
+        raise ValueError("cannot evaluate on an empty corpus")
+    samples = corpus.samples()
+    if tile_size is not None:
+        return [
+            model.tiled_count(s.scene.image, s.category_id, tile_size, kappa=kappa)
+            for s in samples
+        ]
+    y_cnt, y_cls = model.forward(
+        np.stack([s.scene.image for s in samples]), [s.category_id for s in samples]
+    )
+    return [count_above(c, p, kappa) for c, p in zip(y_cnt, y_cls)]
+
+
 def evaluate(
     model: CountModel,
     corpus: Corpus,
@@ -111,17 +139,8 @@ def evaluate(
     tile_size: int | None = None,
 ) -> Metrics:
     """Count-error metrics over a corpus; tiling engages for oversized images."""
-    if len(corpus) == 0:
-        raise ValueError("cannot evaluate on an empty corpus")
-    preds, truths = [], []
-    for sample in corpus.samples():
-        if tile_size is not None:
-            pred = model.tiled_count(sample.scene.image, sample.category_id, tile_size, kappa=kappa)
-        else:
-            pred = model.thresholded_count(sample.scene.image, sample.category_id, kappa)
-        preds.append(pred)
-        truths.append(sample.scene.count(sample.category_id))
-    return compute_metrics(preds, truths)
+    preds = predict_counts(model, corpus, kappa, tile_size)
+    return compute_metrics(preds, [s.scene.count(s.category_id) for s in corpus.samples()])
 
 
 # -- target preparation -------------------------------------------------------
@@ -171,17 +190,8 @@ def _prepare_weak(corpus: Corpus, factor: int) -> list[_WeakExample]:
 
 # -- gradient accumulation ----------------------------------------------------
 
-# Images recorded on one tape. A minibatch runs as consecutive tapes of this
-# many images, whose weight gradients are summed. Larger groups amortize the
-# per-node Python dispatch and run bigger GEMMs, but a tape holds its images'
-# retained activations until its backward pass, so peak memory grows with
-# the group. The benchmark's train workload on 2 CPUs (OpenBLAS, float64,
-# 64 px input; images/s, and peak RSS of the whole run), by group size:
-#   1: 236/s, 72 MB   2: 307/s, 75 MB   4: 374/s, 80 MB
-#   8: 387/s, 91 MB  16: 341/s, 112 MB
-# Four is within a few percent of the fastest at less memory.
-IMAGES_PER_TAPE = 4
-
+# A minibatch runs as consecutive tapes of IMAGES_PER_FORWARD images (its
+# measured trade-off is in model.py), whose weight gradients are summed.
 
 def _rows(y: ad.DiffArray, idx: list[int], n_rows: int) -> ad.DiffArray:
     return y if len(idx) == n_rows else ad.take_index(y, np.asarray(idx))
@@ -300,8 +310,9 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
         for bi, batch in enumerate(batches):
             grad_sums = {k: np.zeros_like(v) for k, v in model.weights.items()}
             where = f"epoch {epoch}, batch {bi}"
-            for g0 in range(0, len(batch), IMAGES_PER_TAPE):
-                cnt, cls = _accumulate(model, batch[g0 : g0 + IMAGES_PER_TAPE], w, grad_sums, where)
+            for g0 in range(0, len(batch), IMAGES_PER_FORWARD):
+                group = batch[g0 : g0 + IMAGES_PER_FORWARD]
+                cnt, cls = _accumulate(model, group, w, grad_sums, where)
                 cnt_total += cnt
                 cls_total += cls
             n = len(batch)

@@ -21,6 +21,7 @@ __all__ = [
     "disk_mask",
     "square_mask",
     "render_scene",
+    "downscale_image",
     "downscale_and_pad",
     "oracle_count_components",
 ]
@@ -243,13 +244,14 @@ def _linear_weights(n_out: int, n_in: int, ratio: float) -> np.ndarray:
     Output sample i reads source coordinate (i + 0.5) * ratio - 0.5, so
     ratio 1.0 reproduces the input exactly.
     """
+    s = np.clip((np.arange(n_out) + 0.5) * ratio - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(s).astype(int)
+    frac = s - i0
+    rows = np.arange(n_out)
     w = np.zeros((n_out, n_in))
-    for i in range(n_out):
-        s = min(max((i + 0.5) * ratio - 0.5, 0.0), n_in - 1.0)
-        i0 = int(np.floor(s))
-        frac = s - i0
-        w[i, i0] += 1.0 - frac
-        w[i, min(i0 + 1, n_in - 1)] += frac
+    # the two taps coincide on the last source pixel, so accumulate
+    np.add.at(w, (rows, i0), 1.0 - frac)
+    np.add.at(w, (rows, np.minimum(i0 + 1, n_in - 1)), frac)
     return w
 
 
@@ -258,21 +260,37 @@ def _nearest_indices(n_out: int, n_in: int, ratio: float) -> np.ndarray:
     return np.minimum(idx, n_in - 1)
 
 
+def _shrunk_shape(shape: tuple[int, int], ratio: float) -> tuple[int, int]:
+    if ratio < 1.0:
+        raise ValueError("ratio must be >= 1.0")
+    return max(1, round(shape[0] / ratio)), max(1, round(shape[1] / ratio))
+
+
+def downscale_image(image: np.ndarray, ratio: float, background: float) -> np.ndarray:
+    """Shrink an image by ``1/ratio`` into its top-left corner, padding with ``background``.
+
+    Bilinear resampling, clipped to [0, 1]; this is the image that
+    downscale_and_pad puts in its scene.
+    """
+    h, w = image.shape
+    h2, w2 = _shrunk_shape(image.shape, ratio)
+    small = _linear_weights(h2, h, ratio) @ image @ _linear_weights(w2, w, ratio).T
+    out = np.full((h, w), background, dtype=np.float64)
+    out[:h2, :w2] = np.clip(small, 0.0, 1.0)
+    return out
+
+
 def downscale_and_pad(scene: Scene, ratio: float) -> Scene:
     """Shrink a scene by ``1/ratio`` into the top-left corner, padding with background.
 
-    The image is resampled bilinearly, masks by nearest neighbor (keeping
-    them binary). Ground-truth counts never change: an instance whose mask
-    shrinks below one pixel stays in the instance list flagged subpixel.
+    The image is resampled bilinearly (downscale_image), masks by nearest
+    neighbor (keeping them binary). Ground-truth counts never change: an
+    instance whose mask shrinks below one pixel stays in the instance list
+    flagged subpixel.
     """
-    if ratio < 1.0:
-        raise ValueError("ratio must be >= 1.0")
     h, w = scene.shape
-    h2 = max(1, round(h / ratio))
-    w2 = max(1, round(w / ratio))
-    small = _linear_weights(h2, h, ratio) @ scene.image @ _linear_weights(w2, w, ratio).T
-    image = np.full((h, w), scene.background, dtype=np.float64)
-    image[:h2, :w2] = np.clip(small, 0.0, 1.0)
+    h2, w2 = _shrunk_shape(scene.shape, ratio)
+    image = downscale_image(scene.image, ratio, scene.background)
 
     ri = _nearest_indices(h2, h, ratio)
     ci = _nearest_indices(w2, w, ratio)

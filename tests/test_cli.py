@@ -177,6 +177,52 @@ class TestEval:
         assert len(rows) == 5  # header + 4 val images
         assert "MAE" in (out / "summary.txt").read_text()
 
+    @pytest.mark.parametrize("image_size, tile_size", [(16, None), (32, 16)])
+    def test_outputs_match_per_image_counts_byte_for_byte(
+        self, trained, tmp_path, image_size, tile_size
+    ):
+        # 6 scenes leave a partial last chunk of batched forwards; the files
+        # must be exactly what one thresholded_count/tiled_count call per
+        # image gives, in the established CSV and summary format
+        _, ckpt, _, _ = trained
+        gen = write_config(
+            tmp_path,
+            "gen6.ini",
+            TINY_SCENE.replace("image_size = 16", f"image_size = {image_size}")
+            + "\n[corpus]\nn = 6\nsplit = test\n",
+        )
+        assert main(["gen-data", gen, "--out", str(tmp_path / "c6")]) == 0
+        corpus_path = tmp_path / "c6" / "corpus.bin"
+        tiling = f"tile_size = {tile_size}\n" if tile_size else ""
+        cfg = write_config(
+            tmp_path,
+            "eval6.ini",
+            f"[eval]\ncheckpoint = {ckpt}\ncorpus = {corpus_path}\nkappa = 0.2\n{tiling}",
+        )
+        out = tmp_path / "ev6"
+        assert main(["eval", cfg, "--out", str(out)]) == 0
+
+        model = load_checkpoint(ckpt)
+        corpus = read_corpus(str(corpus_path))
+        assert {it.sample.category_id for it in corpus.items} == {0, 1}
+        lines, errs = ["scene_id,truth,pred,error"], []
+        for item in corpus.items:
+            s = item.sample
+            truth = s.scene.count(s.category_id)
+            if tile_size:
+                pred = model.tiled_count(s.scene.image, s.category_id, tile_size, kappa=0.2)
+            else:
+                pred = model.thresholded_count(s.scene.image, s.category_id, 0.2)
+            lines.append(f"{item.scene_id},{truth},{pred!r},{pred - truth!r}")
+            errs.append(pred - truth)
+        err = np.array(errs)
+        summary = (
+            f"images: 6\nkappa: 0.2\nMAE: {np.abs(err).mean():.4f}\n"
+            f"RMSE: {np.sqrt((err**2).mean()):.4f}\n"
+        )
+        assert (out / "per_image.csv").read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+        assert (out / "summary.txt").read_bytes() == summary.encode()
+
     def test_missing_required_key(self, trained, tmp_path, capsys):
         _, _, _, val_corpus = trained
         cfg = write_config(tmp_path, "e.ini", f"[eval]\ncorpus = {val_corpus}\n")

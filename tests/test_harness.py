@@ -12,13 +12,16 @@ from countgrad.harness import (
     Adam,
     BlobSceneParams,
     GuidanceConfig,
+    SizeBiasRow,
     StageData,
+    ThresholdRow,
     TrainConfig,
     TrainingDivergence,
     compute_metrics,
     evaluate,
     guide_optimize,
     init_blob_params,
+    predict_counts,
     render_blob_scene,
     run_ablation,
     size_bias_sweep,
@@ -27,7 +30,7 @@ from countgrad.harness import (
     train_stage,
 )
 from countgrad.losses import LossWeights
-from countgrad.model import CountModel, ModelConfig
+from countgrad.model import CountModel, ModelConfig, count_above
 from countgrad.raster import downscale_and_pad, oracle_count_components
 from countgrad.targets import WeakGrids
 
@@ -117,6 +120,78 @@ class TestMetrics:
         assert m.n == len(data.val) and np.isfinite(m.mae)
         with pytest.raises(ValueError):
             evaluate(model, Corpus(data.val.spec, "empty", ()))
+
+
+def mixed_corpus(n):
+    """n 64 px scenes; from n = 2 on they hold both categories."""
+    corpus = make_corpus(SceneSpec(count_range=(1, 10), seed=1), n, split="test")
+    assert n == 1 or {s.category_id for s in corpus.samples()} == {0, 1}
+    return corpus
+
+
+def looped_counts(model, corpus, kappa=0.0):
+    return [model.thresholded_count(s.scene.image, s.category_id, kappa) for s in corpus.samples()]
+
+
+def truths_of(corpus):
+    return [s.scene.count(s.category_id) for s in corpus.samples()]
+
+
+class TestBatchedInference:
+    """Batched inference against per-image loops, bit for bit.
+
+    Corpora of 1, 5 and 6 images leave the last chunk of IMAGES_PER_FORWARD
+    partial.
+    """
+
+    @pytest.mark.parametrize("n", [1, 5, 6])
+    def test_evaluate_equals_per_image_loop(self, n):
+        corpus = mixed_corpus(n)
+        model = CountModel.create()
+        for kappa in (0.0, 0.5):
+            preds = looped_counts(model, corpus, kappa)
+            assert predict_counts(model, corpus, kappa) == preds
+            assert evaluate(model, corpus, kappa) == compute_metrics(preds, truths_of(corpus))
+
+    def test_tiled_evaluate_equals_per_image_tiled_count(self):
+        corpus = make_corpus(SceneSpec(image_size=128, count_range=(4, 20), seed=2), 3)
+        model = CountModel.create()
+        preds = [model.tiled_count(s.scene.image, s.category_id, 64) for s in corpus.samples()]
+        assert predict_counts(model, corpus, tile_size=64) == preds
+        assert evaluate(model, corpus, tile_size=64) == compute_metrics(preds, truths_of(corpus))
+
+    @pytest.mark.parametrize("n", [1, 5, 6])
+    def test_threshold_sweep_equals_per_image_count_above(self, n):
+        corpus = mixed_corpus(n)
+        model = CountModel.create()
+        kappas = (0.0, 0.3, 0.5, 0.7)
+        grids = [model.forward(s.scene.image, s.category_id) for s in corpus.samples()]
+        expect = []
+        for kappa in kappas:
+            m = compute_metrics([count_above(c, p, kappa) for c, p in grids], truths_of(corpus))
+            expect.append(ThresholdRow(kappa, m.mae, m.rmse))
+        rows, best = threshold_sweep(model, corpus, kappas)
+        assert rows == expect
+        assert best == min(expect, key=lambda r: r.mae).kappa
+
+    @pytest.mark.parametrize("n", [1, 5, 6])
+    def test_size_bias_sweep_equals_per_scene_rescale(self, n):
+        corpus = mixed_corpus(n)
+        model = CountModel.create()
+        ratios = (1.0, 1.5, 2.0, 3.0)
+        base = looped_counts(model, corpus)
+        expect = []
+        for ratio in ratios:
+            preds = [
+                model.thresholded_count(downscale_and_pad(s.scene, ratio).image, s.category_id, 0.0)
+                for s in corpus.samples()
+            ]
+            drifts = np.asarray([p - b for p, b in zip(preds, base)])
+            mae = compute_metrics(preds, truths_of(corpus)).mae
+            expect.append(
+                SizeBiasRow("m", ratio, float(drifts.mean()), float(np.abs(drifts).mean()), mae)
+            )
+        assert size_bias_sweep({"m": model}, corpus, ratios) == expect
 
 
 class TestTrainStage:

@@ -9,6 +9,7 @@ import pytest
 
 from countgrad import autodiff as ad
 from countgrad.model import (
+    IMAGES_PER_FORWARD,
     CheckpointError,
     CountModel,
     ModelConfig,
@@ -91,6 +92,31 @@ class TestForward:
             model.forward(images, [0, 1])
         with pytest.raises(ValueError):
             model.forward(images, [0, 1, 2])
+
+    @pytest.mark.parametrize("n", [1, 5, 6, 2 * IMAGES_PER_FORWARD + 1])
+    def test_chunked_stack_rows_equal_single_forwards_bitwise(self, n):
+        # forward runs a stack in chunks of IMAGES_PER_FORWARD, the last one partial
+        model = CountModel.create()
+        rng = np.random.default_rng(20 + n)
+        images = rng.uniform(0.0, 1.0, (n, 64, 64))
+        cats = [i % 2 for i in range(n)]
+        for cat_arg, row_cats in ((cats, cats), (1, [1] * n)):
+            y_cnt, y_cls = model.forward(images, cat_arg)
+            assert y_cnt.shape == (n, 8, 8) and y_cls.shape == (n, 8, 8)
+            for i in range(n):
+                one_cnt, one_cls = model.forward(images[i], row_cats[i])
+                np.testing.assert_array_equal(y_cnt[i], one_cnt)
+                np.testing.assert_array_equal(y_cls[i], one_cls)
+
+    def test_chunked_stack_category_validation(self):
+        model = CountModel.create()
+        images = np.zeros((IMAGES_PER_FORWARD + 1, 64, 64))
+        with pytest.raises(ValueError, match="category"):
+            model.forward(images, [0] * IMAGES_PER_FORWARD)
+        with pytest.raises(ValueError, match="category"):
+            model.forward(images, [0] * (IMAGES_PER_FORWARD + 2))
+        with pytest.raises(ValueError, match="category"):
+            model.forward(images, [0] * IMAGES_PER_FORWARD + [2])
 
     def test_frozen_forward_of_constant_image_records_nothing(self):
         # one network definition: frozen weights only fold, never change a bit
@@ -231,6 +257,24 @@ class TestCounts:
         rng = np.random.default_rng(15)
         val = model.tiled_count(rng.uniform(0.0, 1.0, (100, 70)), 0)
         assert np.isfinite(val) and val >= 0.0
+
+    @pytest.mark.parametrize("shape", [(100, 70), (192, 128)])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_tiled_count_equals_per_tile_loop_bitwise(self, shape, kappa):
+        # (100, 70) pads to 2x2 tiles; (192, 128) is 6 tiles, so one chunk is partial
+        model = CountModel.create()
+        rng = np.random.default_rng(16)
+        img = rng.uniform(0.0, 1.0, shape)
+        nr, nc = math.ceil(shape[0] / 64), math.ceil(shape[1] / 64)
+        padded = np.full((nr * 64, nc * 64), img.min())
+        padded[: shape[0], : shape[1]] = img
+        for cat in (0, 1):
+            per_tile = [
+                model.thresholded_count(padded[i : i + 64, j : j + 64], cat, kappa)
+                for i in range(0, nr * 64, 64)
+                for j in range(0, nc * 64, 64)
+            ]
+            assert model.tiled_count(img, cat, kappa=kappa) == math.fsum(per_tile)
 
     def test_tile_size_must_match_input(self):
         model = CountModel.create()

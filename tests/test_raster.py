@@ -9,8 +9,10 @@ from countgrad.raster import (
     Scene,
     SceneInstance,
     ShapePaint,
+    _linear_weights,
     disk_mask,
     downscale_and_pad,
+    downscale_image,
     oracle_count_components,
     render_scene,
     square_mask,
@@ -25,6 +27,18 @@ def brute_force_disk_area(center, radius, shape):
             if (i - center[0]) ** 2 + (j - center[1]) ** 2 <= radius**2:
                 n += 1
     return n
+
+
+def looped_linear_weights(n_out, n_in, ratio):
+    # the row-by-row construction the vectorized sampling matrix replaced
+    w = np.zeros((n_out, n_in))
+    for i in range(n_out):
+        s = min(max((i + 0.5) * ratio - 0.5, 0.0), n_in - 1.0)
+        i0 = int(np.floor(s))
+        frac = s - i0
+        w[i, i0] += 1.0 - frac
+        w[i, min(i0 + 1, n_in - 1)] += frac
+    return w
 
 
 class TestMasks:
@@ -157,6 +171,16 @@ class TestDownscaleAndPad:
     def test_ratio_below_one_rejected(self):
         with pytest.raises(ValueError):
             downscale_and_pad(self.make_scene(), 0.5)
+        with pytest.raises(ValueError):
+            downscale_image(self.make_scene().image, 0.5, 0.1)
+
+    @pytest.mark.parametrize("n_in", [64, 128, 37])
+    @pytest.mark.parametrize("ratio", [1.0, 1.37, 1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_linear_weights_equal_row_loop_bitwise(self, n_in, ratio):
+        n_out = max(1, round(n_in / ratio))
+        np.testing.assert_array_equal(
+            _linear_weights(n_out, n_in, ratio), looped_linear_weights(n_out, n_in, ratio)
+        )
 
     def test_masks_stay_boolean_and_inside_corner(self):
         scene = self.make_scene(seed=5)
