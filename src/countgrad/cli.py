@@ -43,6 +43,13 @@ class ConfigError(ValueError):
     """Raised for missing, unknown, or ill-typed config keys."""
 
 
+# Hyperparameters of one training stage: [train] and ablate's [strong-train]
+# and [weak-train] all read them through _train_config.
+_TRAINING_KEYS = {
+    "epochs", "batch_size", "patience", "lr_heads", "lr_trunk", "seed", "target",
+    "sigma", "adam_eps",
+}
+
 _SECTION_KEYS = {
     "scene": {
         "image_size", "shape_kinds", "count_min", "count_max", "radius_min",
@@ -55,11 +62,7 @@ _SECTION_KEYS = {
         "input_size", "channels", "fused_channels", "embed_dim",
         "num_categories", "seed", "init_checkpoint",
     },
-    "train": {
-        "stage", "train_corpus", "val_corpus", "strong_mix_corpus", "epochs",
-        "batch_size", "patience", "lr_heads", "lr_trunk", "seed", "target",
-        "sigma", "adam_eps",
-    },
+    "train": _TRAINING_KEYS | {"stage", "train_corpus", "val_corpus", "strong_mix_corpus"},
     "loss": {"alpha1", "beta1", "alpha2", "beta2", "gamma"},
     "eval": {"checkpoint", "corpus", "kappa", "tile_size"},
     "size-bias": {"checkpoints", "corpus", "ratios", "by_size_class"},
@@ -73,14 +76,8 @@ _SECTION_KEYS = {
         "weak_train_corpus", "weak_val_corpus", "strong_mix_corpus",
         "eval_corpus",
     },
-    "strong-train": {
-        "epochs", "batch_size", "patience", "lr_heads", "lr_trunk", "seed",
-        "target", "sigma", "adam_eps",
-    },
-    "weak-train": {
-        "epochs", "batch_size", "patience", "lr_heads", "lr_trunk", "seed",
-        "target", "sigma", "adam_eps",
-    },
+    "strong-train": _TRAINING_KEYS,
+    "weak-train": _TRAINING_KEYS,
 }
 
 

@@ -153,24 +153,24 @@ def init_blob_params(
     out never get pulled in. That same reach limit is why callers should
     start with n_on near the requested count rather than far below it.
     """
+    if n_slots < 1:
+        raise ValueError(f"n_slots must be >= 1, got {n_slots}")
     if not 0 <= n_on <= n_slots:
         raise ValueError("n_on must lie in [0, n_slots]")
     side = math.ceil(math.sqrt(n_slots))
     pitch = canvas / side
-    rows, cols = [], []
-    for s in range(n_slots):
-        r = (s // side + 0.5) * pitch
-        c = (s % side + 0.5) * pitch
-        rows.append(r + rng.uniform(-0.25, 0.25) * pitch)
-        cols.append(c + rng.uniform(-0.25, 0.25) * pitch)
+    slot = np.arange(n_slots)
+    jitter = rng.uniform(-0.25, 0.25, size=(n_slots, 2))  # (row, col) per slot
+    rows = (slot // side + 0.5) * pitch + jitter[:, 0] * pitch
+    cols = (slot % side + 0.5) * pitch + jitter[:, 1] * pitch
     presence = np.empty(n_slots)
     perm = rng.permutation(n_slots)
     presence[perm[:n_on]] = PRESENCE_TEMP * (1.5 + 1.5 * np.arange(n_on))
     presence[perm[n_on:]] = -PRESENCE_TEMP * (1.5 + 1.5 * np.arange(n_slots - n_on))
     return BlobSceneParams(
         presence=presence,
-        center_row=np.asarray(rows),
-        center_col=np.asarray(cols),
+        center_row=rows,
+        center_col=cols,
         radius_raw=np.full(n_slots, inverse_softplus(radius)),
         intensity_raw=np.zeros(n_slots),
         canvas=canvas,
@@ -180,41 +180,39 @@ def init_blob_params(
 def render_blob_scene(
     tape: ad.Tape,
     params: BlobSceneParams,
-    param_nodes: dict[str, ad.DiffArray] | None = None,
+    param_nodes: dict[str, ad.DiffArray | np.ndarray] | None = None,
 ) -> ad.DiffArray:
     """Differentiable composite of all slots; returns the (canvas, canvas) image.
 
     Pass ``param_nodes`` (as made by new_param from params.as_dict()) to
-    optimize the latents; otherwise fresh leaves are created on the tape.
+    optimize the latents; a frozen latent may be given as its plain array,
+    which keeps its chain off the tape. Without ``param_nodes`` fresh
+    leaves are created on the tape. Every slot is drawn at once: (S, 1, 1)
+    latents broadcast against (1, n, 1) rows and (1, 1, n) columns, and
+    the (S, n, n) blobs are summed over slots in order, so the tape holds
+    the same number of nodes whatever the slot count.
     """
     n = params.canvas
     if param_nodes is None:
         param_nodes = {k: ad.new_param(tape, v) for k, v in params.as_dict().items()}
     lim = float(n - 1)
+    slots = (params.n_slots, 1, 1)
     opacity = ad.sigmoid(ad.scale(param_nodes["presence"], 1.0 / PRESENCE_TEMP))
-    rows_c = ad.clamp(param_nodes["center_row"], 0.0, lim)
-    cols_c = ad.clamp(param_nodes["center_col"], 0.0, lim)
-    radius = ad.softplus(param_nodes["radius_raw"])
+    rows_c = ad.reshape(ad.clamp(param_nodes["center_row"], 0.0, lim), slots)
+    cols_c = ad.reshape(ad.clamp(param_nodes["center_col"], 0.0, lim), slots)
+    radius = ad.reshape(ad.softplus(param_nodes["radius_raw"]), slots)
     intensity = ad.add(
         ad.scale(ad.sigmoid(param_nodes["intensity_raw"]), _INTENSITY_SPAN), _INTENSITY_LO
     )
 
-    rr = np.arange(n, dtype=np.float64)[:, None]  # (n, 1)
-    cc = np.arange(n, dtype=np.float64)[None, :]  # (1, n)
-    image = None
-    for s in range(params.n_slots):
-        dr = ad.sub(rr, ad.take_index(rows_c, s))
-        dc = ad.sub(cc, ad.take_index(cols_c, s))
-        d2 = ad.add(ad.mul(dr, dr), ad.mul(dc, dc))
-        dist = ad.sqrt(ad.add(d2, 1e-9))
-        edge = ad.scale(ad.sub(ad.take_index(radius, s), dist), 1.0 / EDGE_SOFTNESS)
-        blob = ad.sigmoid(edge)
-        height = ad.mul(ad.take_index(opacity, s), ad.take_index(intensity, s))
-        contrib = ad.mul(blob, height)
-        image = contrib if image is None else ad.add(image, contrib)
-    if image is None:
-        return ad.new_param(tape, np.full((n, n), BACKGROUND))
-    return ad.add(image, BACKGROUND)
+    grid = np.arange(n, dtype=np.float64)
+    dr = ad.sub(grid[None, :, None], rows_c)  # (S, n, 1)
+    dc = ad.sub(grid[None, None, :], cols_c)  # (S, 1, n)
+    d2 = ad.add(ad.mul(dr, dr), ad.mul(dc, dc))
+    dist = ad.sqrt(ad.add(d2, 1e-9))
+    blob = ad.sigmoid(ad.scale(ad.sub(radius, dist), 1.0 / EDGE_SOFTNESS))
+    height = ad.reshape(ad.mul(opacity, intensity), slots)
+    return ad.add(ad.reduce_sum(ad.mul(blob, height), axis=0), BACKGROUND)
 
 
 def guide_optimize(
@@ -242,8 +240,9 @@ def guide_optimize(
 
     for step in range(gcfg.max_steps):
         tape = ad.Tape()
-        nodes = {k: ad.new_param(tape, v) for k, v in values.items()}
-        image = render_blob_scene(tape, params.with_values(values), nodes)
+        # Frozen latents stay plain arrays, so their chains fold to constants.
+        nodes = {k: ad.new_param(tape, values[k]) for k in gcfg.optimize}
+        image = render_blob_scene(tape, params, {**values, **nodes})
         fp = model.forward_on_tape(tape, image, category_id, trainable=False)
         count = float(fp.y_cnt.values.sum())
         loss = guidance_loss(fp.y_cnt, gcfg.q_req)
@@ -252,17 +251,13 @@ def guide_optimize(
             raise TrainingDivergence(f"guidance loss became non-finite at step {step}")
         trajectory.append(GuidanceRecord(step, loss_v, count))
 
-        if loss_v < best_loss - gcfg.plateau_delta:
+        # Any improvement is kept; only one larger than plateau_delta resets patience.
+        stale = 0 if loss_v < best_loss - gcfg.plateau_delta else stale + 1
+        if loss_v < best_loss:
             best_loss = loss_v
             best_values = {k: v.copy() for k, v in values.items()}
-            stale = 0
-        else:
-            if loss_v < best_loss:
-                best_loss = loss_v
-                best_values = {k: v.copy() for k, v in values.items()}
-            stale += 1
-            if stale >= gcfg.plateau_patience:
-                break
+        if stale >= gcfg.plateau_patience:
+            break
 
         grads = ad.backward(tape, loss)
         opt.step(values, {k: grads.wrt(nodes[k]) for k in gcfg.optimize})

@@ -1,13 +1,15 @@
 """End-to-end command-line runs against tiny corpora and models."""
 
+import re
 import shutil
 import subprocess
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from countgrad.cli import main
+from countgrad.cli import _SECTION_KEYS, main
 from countgrad.datagen import corpora_equal, read_corpus
 from countgrad.model import load_checkpoint
 
@@ -85,6 +87,43 @@ class TestGenData:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["gen-data", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+def readme_config_sections():
+    """{section: documented keys} from the README's "Config sections and keys".
+
+    Each paragraph there opens with one or more `[section]` names, then a
+    colon, then the keys in backticks. Parenthesized asides (values,
+    defaults, other sections) are dropped first; tokens with dots, commas
+    or bars (file names, value lists) are not keys.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    part = text.split("### Config sections and keys", 1)[1].split("Minimal example:", 1)[0]
+    documented = {}
+    for para in part.split("\n\n"):
+        if not para.startswith("`["):
+            continue
+        head, _, body = re.sub(r"\([^()]*\)", "", para).partition(":")
+        keys = set(re.findall(r"`([a-z][a-z0-9_]*)`", body))
+        for name in re.findall(r"`\[([a-z-]+)\]`", head):
+            documented[name] = keys
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0], documented
+
+
+class TestReadmeConfigKeys:
+    def test_every_named_section_is_accepted(self):
+        cli_text, documented = readme_config_sections()
+        named = set(re.findall(r"`\[([a-z-]+)\]`", cli_text))
+        assert named, "no sections found in the README"
+        assert named <= set(_SECTION_KEYS)
+        assert set(documented) == set(_SECTION_KEYS)
+
+    @pytest.mark.parametrize("section", sorted(_SECTION_KEYS))
+    def test_documented_keys_equal_accepted_keys(self, section):
+        _, documented = readme_config_sections()
+        keys = documented.get(section, set())
+        assert keys - _SECTION_KEYS[section] == set(), "documented but rejected"
+        assert _SECTION_KEYS[section] - keys == set(), "accepted but undocumented"
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +329,16 @@ class TestExperimentCommands:
         summary = (out / "summary.txt").read_text()
         assert "requested count: 2" in summary
         assert "connected components" in summary
+
+    def test_guide_zero_slots_rejected(self, trained, tmp_path, capsys):
+        _, ckpt, _, _ = trained
+        cfg = write_config(
+            tmp_path, "gd0.ini", f"[guide]\ncheckpoint = {ckpt}\nq_req = 2\nn_slots = 0\n"
+        )
+        assert main(["guide", cfg, "--out", str(tmp_path / "gd0")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_slots" in err
+        assert "Traceback" not in err
 
     def test_ablate(self, trained, tmp_path):
         _, _, train_corpus, val_corpus = trained

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from countgrad import autodiff as ad
+from countgrad.harness import blob
 from countgrad.harness import train as train_mod
 from countgrad.datagen import Corpus, SceneSpec, make_corpus
 from countgrad.harness import (
@@ -29,7 +30,7 @@ from countgrad.harness import (
     threshold_sweep,
     train_stage,
 )
-from countgrad.losses import LossWeights
+from countgrad.losses import LossWeights, guidance_loss
 from countgrad.model import CountModel, ModelConfig, count_above
 from countgrad.raster import downscale_and_pad, oracle_count_components
 from countgrad.targets import WeakGrids
@@ -391,11 +392,134 @@ class TestBlobScene:
 
         assert np.allclose(np.logaddexp(0, params.radius_raw), 3.0, atol=1e-9)
 
+    def test_init_rejects_no_slots(self):
+        with pytest.raises(ValueError, match="n_slots"):
+            init_blob_params(np.random.default_rng(0), n_slots=0, n_on=0)
+
     def test_guidance_config_validation(self):
         with pytest.raises(ValueError):
             GuidanceConfig(q_req=-1)
         with pytest.raises(ValueError):
             GuidanceConfig(q_req=3, step_size=0.0)
+
+
+BLOB_KEYS = ("presence", "center_row", "center_col", "radius_raw", "intensity_raw")
+
+
+def loop_render(tape, params, nodes):
+    """Reference renderer: one slot at a time, as the renderer was first written."""
+    n = params.canvas
+    lim = float(n - 1)
+    opacity = ad.sigmoid(ad.scale(nodes["presence"], 1.0 / blob.PRESENCE_TEMP))
+    rows_c = ad.clamp(nodes["center_row"], 0.0, lim)
+    cols_c = ad.clamp(nodes["center_col"], 0.0, lim)
+    radius = ad.softplus(nodes["radius_raw"])
+    intensity = ad.add(
+        ad.scale(ad.sigmoid(nodes["intensity_raw"]), blob._INTENSITY_SPAN), blob._INTENSITY_LO
+    )
+    rr = np.arange(n, dtype=np.float64)[:, None]
+    cc = np.arange(n, dtype=np.float64)[None, :]
+    image = None
+    for s in range(params.n_slots):
+        dr = ad.sub(rr, ad.take_index(rows_c, s))
+        dc = ad.sub(cc, ad.take_index(cols_c, s))
+        dist = ad.sqrt(ad.add(ad.add(ad.mul(dr, dr), ad.mul(dc, dc)), 1e-9))
+        edge = ad.scale(ad.sub(ad.take_index(radius, s), dist), 1.0 / blob.EDGE_SOFTNESS)
+        height = ad.mul(ad.take_index(opacity, s), ad.take_index(intensity, s))
+        contrib = ad.mul(ad.sigmoid(edge), height)
+        image = contrib if image is None else ad.add(image, contrib)
+    if image is None:
+        return ad.new_param(tape, np.full((n, n), blob.BACKGROUND))
+    return ad.add(image, blob.BACKGROUND)
+
+
+def loop_guide(model, params, gcfg):
+    """Reference guidance loop: all five latents are parameters, slots render one by one."""
+    values = {k: v.copy() for k, v in params.as_dict().items()}
+    opt = Adam({k: gcfg.step_size for k in gcfg.optimize})
+    trajectory, best_loss, best_values, stale = [], np.inf, dict(values), 0
+    for step in range(gcfg.max_steps):
+        tape = ad.Tape()
+        nodes = {k: ad.new_param(tape, v) for k, v in values.items()}
+        image = loop_render(tape, params, nodes)
+        fp = model.forward_on_tape(tape, image, 0, trainable=False)
+        loss = guidance_loss(fp.y_cnt, gcfg.q_req)
+        loss_v = float(loss.values)
+        trajectory.append((step, loss_v, float(fp.y_cnt.values.sum())))
+        if loss_v < best_loss - gcfg.plateau_delta:
+            best_loss, best_values, stale = loss_v, dict(values), 0
+        else:
+            if loss_v < best_loss:
+                best_loss, best_values = loss_v, dict(values)
+            stale += 1
+            if stale >= gcfg.plateau_patience:
+                break
+        grads = ad.backward(tape, loss)
+        opt.step(values, {k: grads.wrt(nodes[k]) for k in gcfg.optimize})
+    return best_values, trajectory
+
+
+def clamped_scene(n_slots):
+    """A scene with random appearance latents and centers past both canvas edges."""
+    rng = np.random.default_rng(n_slots)
+    if n_slots == 0:
+        empty = np.zeros(0)
+        return BlobSceneParams(empty, empty, empty, empty, empty)
+    params = init_blob_params(rng, n_slots=n_slots, n_on=n_slots // 2)
+    values = {k: v.copy() for k, v in params.as_dict().items()}
+    values["presence"] += rng.normal(scale=0.05, size=n_slots)
+    values["radius_raw"] += rng.normal(scale=0.3, size=n_slots)
+    values["intensity_raw"] = rng.normal(size=n_slots)
+    values["center_row"][0] = -3.0
+    values["center_col"][-1] = 70.0
+    return params.with_values(values)
+
+
+def render_with_grads(render, params):
+    tape = ad.Tape()
+    nodes = {k: ad.new_param(tape, v) for k, v in params.as_dict().items()}
+    img = render(tape, params, nodes)
+    weights = np.random.default_rng(99).normal(size=img.shape)
+    grads = ad.backward(tape, ad.reduce_sum(ad.mul(ad.mul(img, img), weights)))
+    return img.values, [grads.wrt(nodes[k]) for k in BLOB_KEYS], len(tape)
+
+
+class TestVectorizedRenderer:
+    """The slot-broadcast renderer against the per-slot loop, bit for bit."""
+
+    @pytest.mark.parametrize("n_slots", [0, 1, 5, 12])
+    def test_image_and_gradients_equal_loop(self, n_slots):
+        params = clamped_scene(n_slots)
+        img, grads, _ = render_with_grads(render_blob_scene, params)
+        ref_img, ref_grads, _ = render_with_grads(loop_render, params)
+        assert img.tobytes() == ref_img.tobytes()
+        for k, g, ref in zip(BLOB_KEYS, grads, ref_grads):
+            assert g.shape == ref.shape == (n_slots,), k
+            assert g.tobytes() == ref.tobytes(), k
+        if n_slots:
+            assert grads[1][0] == 0.0 and grads[2][-1] == 0.0  # clamped centers
+            assert all(np.abs(grads[i]).max() > 0 for i in (0, 3, 4))  # presence, appearance
+
+    def test_node_count_independent_of_slots(self):
+        counts = {render_with_grads(render_blob_scene, clamped_scene(s))[2] for s in (0, 1, 5, 12)}
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize(
+        "seed, n_slots, q_req, max_steps, patience",
+        [(0, 12, 6.0, 25, 25), (1, 5, 3.0, 40, 3), (2, 12, 9.0, 40, 5), (3, 1, 2.0, 30, 4)],
+    )
+    def test_guidance_equals_all_parameter_run(self, seed, n_slots, q_req, max_steps, patience):
+        model = CountModel.create()
+        rng = np.random.default_rng(seed)
+        params = init_blob_params(rng, n_slots=n_slots, n_on=max(0, min(n_slots, int(q_req) - 2)))
+        gcfg = GuidanceConfig(
+            q_req=q_req, max_steps=max_steps, plateau_patience=patience, plateau_delta=0.05
+        )
+        best, traj = guide_optimize(model, params, gcfg)
+        ref_best, ref_traj = loop_guide(model, params, gcfg)
+        assert [(r.step, r.loss, r.count) for r in traj] == ref_traj
+        for k in BLOB_KEYS:
+            assert best.as_dict()[k].tobytes() == ref_best[k].tobytes(), k
 
 
 class TestGuideOptimize:
