@@ -13,6 +13,7 @@ import configparser
 import csv
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,11 +30,10 @@ from .harness import (
     predict_counts,
     render_blob_scene,
     run_ablation,
-    size_bias_sweep,
-    size_class_drift,
     threshold_sweep,
     train_stage,
 )
+from .harness.experiments import _RATIOS, _size_bias_tables
 from .losses import LossWeights
 from .model import CountModel, ModelConfig, load_checkpoint, save_checkpoint
 from .raster import oracle_count_components
@@ -111,14 +111,19 @@ def _require(section, key):
     return value
 
 
+def _values(section, key, cast, default) -> tuple:
+    """A comma-separated key as a tuple of ``cast`` values; ``default`` when absent."""
+    value = section.get(key)
+    return default if value is None else tuple(cast(v.strip()) for v in value.split(","))
+
+
 def _scene_spec(cfg, seed_override) -> SceneSpec:
     s = _section(cfg, "scene")
     d = SceneSpec()  # defaults
-    kinds = tuple(k.strip() for k in s.get("shape_kinds", "disk,square").split(","))
     seed = seed_override if seed_override is not None else s.getint("seed", d.seed)
     return SceneSpec(
         image_size=s.getint("image_size", d.image_size),
-        shape_kinds=kinds,
+        shape_kinds=_values(s, "shape_kinds", str, d.shape_kinds),
         count_range=(s.getint("count_min", d.count_range[0]), s.getint("count_max", d.count_range[1])),
         radius_range=(s.getfloat("radius_min", d.radius_range[0]), s.getfloat("radius_max", d.radius_range[1])),
         min_separation=s.getfloat("min_separation", d.min_separation),
@@ -140,10 +145,9 @@ def _scene_spec(cfg, seed_override) -> SceneSpec:
 def _model_config(cfg) -> ModelConfig:
     s = _section(cfg, "model")
     d = ModelConfig()
-    channels = tuple(int(c) for c in s.get("channels", "8,16,24").split(","))
     return ModelConfig(
         input_size=s.getint("input_size", d.input_size),
-        channels=channels,
+        channels=_values(s, "channels", int, d.channels),
         fused_channels=s.getint("fused_channels", d.fused_channels),
         embed_dim=s.getint("embed_dim", d.embed_dim),
         num_categories=s.getint("num_categories", d.num_categories),
@@ -310,14 +314,15 @@ def _named_checkpoints(value):
 def cmd_size_bias(cfg, seed, outdir):
     s = _section(cfg, "size-bias", required=True)
     corpus = _read_corpus_at(s, "corpus")
-    ratios = tuple(float(r) for r in s.get("ratios", "1.0,1.5,2.0,3.0,4.0").split(","))
+    ratios = _values(s, "ratios", float, _RATIOS)
+    by_size_class = s.getboolean("by_size_class", False)
     models = {}
     for name, path in _named_checkpoints(_require(s, "checkpoints")):
         if not os.path.exists(path):
             raise ConfigError(f"checkpoint not found: {path}")
         models[name] = load_checkpoint(path)
 
-    rows = size_bias_sweep(models, corpus, ratios)
+    rows, cls_rows = _size_bias_tables(models, corpus, ratios, by_size_class)
     table_path = os.path.join(outdir, "size_bias.csv")
     _write_csv(
         table_path,
@@ -330,10 +335,7 @@ def cmd_size_bias(cfg, seed, outdir):
     for r in rows:
         lines.append(f"  {r.model} @ {r.ratio}: drift {r.mean_drift:+.3f}, MAE {r.mae:.3f}")
 
-    if s.getboolean("by_size_class", False):
-        cls_rows = []
-        for name, model in models.items():
-            cls_rows.extend(size_class_drift(model, name, corpus, ratios))
+    if by_size_class:
         cls_path = os.path.join(outdir, "size_class_drift.csv")
         _write_csv(
             cls_path,
@@ -352,7 +354,7 @@ def cmd_threshold_sweep(cfg, seed, outdir):
     s = _section(cfg, "threshold-sweep", required=True)
     model = load_checkpoint(_require(s, "checkpoint"))
     corpus = _read_corpus_at(s, "corpus")
-    kappas = tuple(float(k) for k in s.get("kappas", "0.0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9").split(","))
+    kappas = _values(s, "kappas", float, (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
 
     rows, best = threshold_sweep(model, corpus, kappas)
     table_path = os.path.join(outdir, "threshold_sweep.csv")
@@ -369,14 +371,13 @@ def cmd_threshold_sweep(cfg, seed, outdir):
 def cmd_guide(cfg, seed, outdir):
     s = _section(cfg, "guide", required=True)
     model = load_checkpoint(_require(s, "checkpoint"))
-    q_req = s.getfloat("q_req")
-    if q_req is None:
-        raise ConfigError("missing required key 'q_req' in [guide]")
-    gcfg = GuidanceConfig(
-        q_req=q_req,
-        max_steps=s.getint("max_steps", 150),
-        step_size=s.getfloat("step_size", 5e-3),
-        plateau_patience=s.getint("plateau_patience", 20),
+    q_req = float(_require(s, "q_req"))
+    d = GuidanceConfig(q_req)
+    gcfg = replace(
+        d,
+        max_steps=s.getint("max_steps", d.max_steps),
+        step_size=s.getfloat("step_size", d.step_size),
+        plateau_patience=s.getint("plateau_patience", d.plateau_patience),
     )
     rng_seed = seed if seed is not None else s.getint("seed", 0)
     rng = np.random.default_rng(rng_seed)
@@ -418,8 +419,9 @@ def cmd_guide(cfg, seed, outdir):
 
 def cmd_ablate(cfg, seed, outdir):
     s = _section(cfg, "ablate", required=True)
-    raw = s.get("variants", ",".join(ABLATION_VARIANTS))
-    variants = tuple(v.strip() for v in raw.split(","))
+    if _section(cfg, "model").get("init_checkpoint"):
+        raise ConfigError("[model] init_checkpoint is read by train only; ablate trains from scratch")
+    variants = _values(s, "variants", str, ABLATION_VARIANTS)
 
     strong_data = StageData(
         _read_corpus_at(s, "strong_train_corpus"), _read_corpus_at(s, "strong_val_corpus")

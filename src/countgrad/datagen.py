@@ -7,20 +7,22 @@ branch must learn to reject. Generation is deterministic: every scene id
 gets its own rng stream derived from (seed, id), so corpora are
 reproducible and parallelizable without ordering effects.
 
-A corpus file is a single self-describing container: magic, version, the
-JSON spec echo, a split tag, then per-scene records (raw float64 image
-rows, run-length encoded masks, point lists), and a trailing CRC32.
+A corpus file is a single self-describing container: the JSON spec echo,
+a split tag, then per-scene records (raw float64 image rows, run-length
+encoded masks, point lists), inside the envelope (magic, version, CRC-32)
+that ``_envelope`` owns.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _envelope
+from ._envelope import from_echo, uint, uints
 from .raster import (
     InstanceMask,
     PointAnnotations,
@@ -95,9 +97,9 @@ class SceneSpec:
         if not self.shape_kinds or any(k not in _KIND_TO_CATEGORY for k in self.shape_kinds):
             raise ValueError(f"shape kinds must come from {sorted(_KIND_TO_CATEGORY)}")
         for name in ("count_range", "radius_range", "intensity_range", "distractor_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} is empty")
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or bounds[0] > bounds[1]:
+                raise ValueError(f"{name} must be a (low, high) pair with low <= high")
         if self.count_range[0] < 0 or self.distractor_range[0] < 0:
             raise ValueError("counts must be non-negative")
         if self.radius_range[0] <= 0:
@@ -112,10 +114,9 @@ class SceneSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SceneSpec":
-        raw = json.loads(text)
-        for name in ("shape_kinds", "count_range", "radius_range", "intensity_range", "distractor_range"):
-            raw[name] = tuple(raw[name])
-        return cls(**raw)
+        """Parse a spec echo (any number passes for a numeric field, as in the
+        constructor); a missing, unknown or ill-typed field raises a ValueError naming it."""
+        return from_echo(cls, json.loads(text), "spec", strict_ints=False)
 
 
 @dataclass(frozen=True)
@@ -276,121 +277,59 @@ def rle_decode(runs: np.ndarray, size: int) -> np.ndarray:
     runs = np.asarray(runs, dtype=np.int64)
     if runs.sum() != size:
         raise CorpusError(f"run lengths sum to {runs.sum()}, expected {size}")
-    out = np.zeros(size, dtype=bool)
-    pos = 0
-    value = False
-    for r in runs:
-        if value:
-            out[pos : pos + r] = True
-        pos += int(r)
-        value = not value
-    return out
-
-
-def _pack_points(pts: np.ndarray) -> bytes:
-    body = len(pts).to_bytes(2, "little")
-    for r, c in pts:
-        body += int(r).to_bytes(2, "little") + int(c).to_bytes(2, "little")
-    return body
+    return np.repeat(np.arange(runs.size) % 2 == 1, runs)
 
 
 def write_corpus(corpus: Corpus, path) -> None:
-    body = bytearray()
-    body += CORPUS_VERSION.to_bytes(2, "little")
-    spec = corpus.spec.to_json().encode()
-    body += len(spec).to_bytes(4, "little") + spec
     split = corpus.split.encode()
-    body += len(split).to_bytes(2, "little") + split
-    body += len(corpus.items).to_bytes(4, "little")
+    body = bytearray(uint(len(split), 2, "split length") + split)
+    body += uint(len(corpus.items), 4, "item count")
     for item in corpus.items:
         sample = item.sample
         scene = sample.scene
         h, w = scene.shape
-        body += item.scene_id.to_bytes(4, "little")
-        body += sample.category_id.to_bytes(2, "little")
-        body += h.to_bytes(2, "little") + w.to_bytes(2, "little")
+        body += uint(item.scene_id, 4, "scene id")
+        body += uint(sample.category_id, 2, "category id")
+        body += uint(h, 2, "height") + uint(w, 2, "width")
         body += np.ascontiguousarray(scene.image, dtype="<f8").tobytes()
         body += np.float64(scene.background).tobytes()
-        body += len(scene.instances).to_bytes(2, "little")
+        body += uint(len(scene.instances), 2, "instance count")
         for inst in scene.instances:
-            body += inst.category_id.to_bytes(2, "little")
-            body += int(inst.subpixel).to_bytes(1, "little")
+            body += uint(inst.category_id, 2, "instance category")
+            body += uint(inst.subpixel, 1, "subpixel flag")
             if inst.mask is not None:
                 runs = rle_encode(inst.mask.pixels.ravel())
-                body += len(runs).to_bytes(4, "little")
-                for r in runs:
-                    body += int(r).to_bytes(4, "little")
-        body += _pack_points(sample.points.positive)
-        body += _pack_points(sample.points.negative)
-    with open(path, "wb") as fh:
-        fh.write(CORPUS_MAGIC)
-        fh.write(body)
-        fh.write(zlib.crc32(body).to_bytes(4, "little"))
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorpusError(f"truncated at byte {self.pos}: needed {n} more")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u(self, n: int) -> int:
-        return int.from_bytes(self.take(n), "little")
-
-
-def _unpack_points(r: _Reader) -> np.ndarray:
-    n = r.u(2)
-    pts = np.zeros((n, 2), dtype=np.int64)
-    for i in range(n):
-        pts[i, 0] = r.u(2)
-        pts[i, 1] = r.u(2)
-    return pts
+                body += uint(len(runs), 4, "run count") + uints(runs, "<u4", "mask run")
+        for pts in (sample.points.positive, sample.points.negative):
+            body += uint(len(pts), 2, "point count") + uints(pts, "<u2", "point coordinate")
+    _envelope.write(path, CORPUS_MAGIC, CORPUS_VERSION, corpus.spec.to_json(), body)
 
 
 def read_corpus(path) -> Corpus:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CORPUS_MAGIC:
-        raise CorpusError(f"bad magic at byte 0: {blob[:4]!r}")
-    if len(blob) < 8:
-        raise CorpusError("file too short for checksum")
-    body, stored = blob[4:-4], int.from_bytes(blob[-4:], "little")
-    if zlib.crc32(body) != stored:
-        raise CorpusError("checksum mismatch")
-    r = _Reader(body)
-    version = r.u(2)
-    if version != CORPUS_VERSION:
-        raise CorpusError(f"unsupported version {version}")
-    spec = SceneSpec.from_json(r.take(r.u(4)).decode())
+    r = _envelope.open_body(path, CORPUS_MAGIC, CORPUS_VERSION, CorpusError)
+    spec = r.echo(SceneSpec.from_json, "spec")
     split = r.take(r.u(2)).decode()
     items = []
     for _ in range(r.u(4)):
         scene_id = r.u(4)
         category_id = r.u(2)
         h, w = r.u(2), r.u(2)
-        image = np.frombuffer(r.take(h * w * 8), dtype="<f8").reshape(h, w).astype(np.float64)
-        background = float(np.frombuffer(r.take(8), dtype="<f8")[0])
+        image = r.array("<f8", h * w).reshape(h, w).astype(np.float64)
+        background = float(r.array("<f8", 1)[0])
         instances = []
         for _ in range(r.u(2)):
             cat = r.u(2)
-            subpixel = bool(r.u(1))
-            if subpixel:
+            if r.u(1):
                 instances.append(SceneInstance(cat, None, subpixel=True))
             else:
-                runs = np.array([r.u(4) for _ in range(r.u(4))], dtype=np.int64)
-                pixels = rle_decode(runs, h * w).reshape(h, w)
+                pixels = rle_decode(r.array("<u4", r.u(4)), h * w).reshape(h, w)
                 instances.append(SceneInstance(cat, InstanceMask(pixels)))
         scene = Scene(image, tuple(instances), background)
-        points = PointAnnotations(_unpack_points(r), _unpack_points(r))
+        positive = r.array("<u2", 2 * r.u(2)).reshape(-1, 2).astype(np.int64)
+        negative = r.array("<u2", 2 * r.u(2)).reshape(-1, 2).astype(np.int64)
+        points = PointAnnotations(positive, negative)
         items.append(CorpusItem(scene_id, SceneSample(scene, points, category_id)))
-    if r.pos != len(body):
-        raise CorpusError(f"{len(body) - r.pos} trailing bytes after records")
+    r.finish("records")
     return Corpus(spec, split, tuple(items))
 
 

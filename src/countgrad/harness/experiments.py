@@ -62,24 +62,52 @@ class AblationRow:
     rmse: float
 
 
-def _drifts(model: CountModel, corpus: Corpus, ratio: float, base: list[float]):
-    """Per-scene drift and prediction at one ratio; ratio 1.0 reuses base.
+# The size-bias protocol's default downscaling ratios; 1.0 is the reference.
+_RATIOS = (1.0, 1.5, 2.0, 3.0, 4.0)
 
-    The rescaled images run as one stack through ``model.forward``.
-    """
-    if ratio == 1.0:
-        preds = list(base)
-    else:
-        samples = corpus.samples()
-        images = [downscale_image(s.scene.image, ratio, s.scene.background) for s in samples]
-        y_cnt, y_cls = model.forward(np.stack(images), [s.category_id for s in samples])
-        preds = [count_above(c, p, 0.0) for c, p in zip(y_cnt, y_cls)]
-    drifts = [p - b for p, b in zip(preds, base)]
-    return np.asarray(drifts), preds
+
+def _drift_tables(
+    models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...], by_size_class: bool
+) -> tuple[list[SizeBiasRow], list[SizeClassRow]]:
+    """Size-bias rows, and size-class rows if asked, from one set of base
+    and per-ratio predictions per model. Ratio 1.0 reuses the base; each
+    other ratio's rescaled images run as one stack through ``model.forward``."""
+    samples = corpus.samples()
+    truths = [s.scene.count(s.category_id) for s in samples]
+    classes = _size_classes(corpus) if by_size_class else np.zeros(0)
+    present = np.unique(classes).tolist()  # ascending; absent classes get no row
+    rows, cls_rows = [], []
+    for name, model in models.items():
+        base = predict_counts(model, corpus)
+        for ratio in ratios:
+            preds = base
+            if ratio != 1.0:
+                images = [downscale_image(s.scene.image, ratio, s.scene.background) for s in samples]
+                y_cnt, y_cls = model.forward(np.stack(images), [s.category_id for s in samples])
+                preds = [count_above(c, p, 0.0) for c, p in zip(y_cnt, y_cls)]
+            drifts = np.asarray([p - b for p, b in zip(preds, base)])
+            mae = compute_metrics(preds, truths).mae
+            rows.append(SizeBiasRow(name, ratio, float(drifts.mean()), float(np.abs(drifts).mean()), mae))
+            for cls in present:
+                sel = classes == cls
+                cls_rows.append(SizeClassRow(name, ratio, cls, float(drifts[sel].mean()), int(sel.sum())))
+    return rows, cls_rows
+
+
+def _size_bias_tables(
+    models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...], by_size_class: bool
+) -> tuple[list[SizeBiasRow], list[SizeClassRow]]:
+    """``size_bias_sweep``'s checks and rows, plus every model's
+    ``size_class_drift`` rows if asked, from the same predictions."""
+    if 1.0 not in ratios:
+        raise ValueError("ratios must include 1.0 as the reference")
+    if any(s.scene.count(s.category_id) > 30 for s in corpus.samples()):
+        raise ValueError("size-bias protocol expects counts of at most 30")
+    return _drift_tables(models, corpus, ratios, by_size_class)
 
 
 def size_bias_sweep(
-    models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...] = (1.0, 1.5, 2.0, 3.0, 4.0)
+    models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...] = _RATIOS
 ) -> list[SizeBiasRow]:
     """Count drift under progressive downscaling, per model and ratio.
 
@@ -88,27 +116,7 @@ def size_bias_sweep(
     counts are unchanged by rescaling, which is what makes MAE at high
     ratios meaningful.
     """
-    if 1.0 not in ratios:
-        raise ValueError("ratios must include 1.0 as the reference")
-    if any(s.scene.count(s.category_id) > 30 for s in corpus.samples()):
-        raise ValueError("size-bias protocol expects counts of at most 30")
-    rows = []
-    for name, model in models.items():
-        base = predict_counts(model, corpus)
-        truths = [s.scene.count(s.category_id) for s in corpus.samples()]
-        for ratio in ratios:
-            drifts, preds = _drifts(model, corpus, ratio, base)
-            m = compute_metrics(preds, truths)
-            rows.append(
-                SizeBiasRow(
-                    name,
-                    ratio,
-                    float(drifts.mean()),
-                    float(np.abs(drifts).mean()),
-                    m.mae,
-                )
-            )
-    return rows
+    return _size_bias_tables(models, corpus, ratios, by_size_class=False)[0]
 
 
 def _size_classes(corpus: Corpus) -> np.ndarray:
@@ -126,18 +134,7 @@ def size_class_drift(
     model: CountModel, name: str, corpus: Corpus, ratios: tuple[float, ...]
 ) -> list[SizeClassRow]:
     """Signed drift broken down by object size class, per ratio."""
-    classes = _size_classes(corpus)
-    base = predict_counts(model, corpus)
-    rows = []
-    for ratio in ratios:
-        drifts, _ = _drifts(model, corpus, ratio, base)
-        for cls in (0, 1, 2):
-            sel = classes == cls
-            if sel.any():
-                rows.append(
-                    SizeClassRow(name, ratio, cls, float(drifts[sel].mean()), int(sel.sum()))
-                )
-    return rows
+    return _drift_tables({name: model}, corpus, ratios, by_size_class=True)[1]
 
 
 def threshold_sweep(

@@ -7,21 +7,23 @@ refines the gated features, and two parallel heads emit per-cell outputs at
 sigmoid class-probability grid from a scaled inner product between cell
 features and the projected embedding.
 
-Checkpoints are single files: magic, version, a JSON echo of the config,
-then named float64 weight blocks in declaration order, and a trailing
-CRC32. Loading a checkpoint reproduces the model bitwise.
+Checkpoints are single files: a JSON echo of the config, then named
+float64 weight blocks in declaration order, inside the envelope (magic,
+version, CRC-32) that ``_envelope`` owns. Loading a checkpoint reproduces
+the model bitwise.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _envelope
 from . import autodiff as ad
+from ._envelope import from_echo, uint, uints
 from .targets import GRID_FACTOR
 
 __all__ = [
@@ -82,31 +84,13 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
-        """Parse a config echo; every field must be present, none unknown.
-
-        A missing, unknown or ill-typed field raises a ValueError naming it.
-        """
+        """Parse a config echo; a missing, unknown or ill-typed field raises a ValueError naming it."""
         raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("config is not a JSON object")
         # configs written while this field existed echo its one legal value
-        legacy = raw.pop("grid_factor", GRID_FACTOR)
+        legacy = raw.pop("grid_factor", GRID_FACTOR) if isinstance(raw, dict) else GRID_FACTOR
         if legacy != GRID_FACTOR:
             raise ValueError(f"grid_factor {legacy!r}: the grid is fixed at 1/{GRID_FACTOR}")
-        names = {f.name for f in fields(cls)}
-        odd = sorted(names ^ set(raw))
-        if odd:
-            kind = "unknown" if odd[0] in raw else "missing"
-            raise ValueError(f"{kind} config field {odd[0]!r}")
-        for name, value in raw.items():
-            if name == "channels":
-                ok = isinstance(value, list) and all(type(v) is int for v in value)
-            else:
-                ok = type(value) is int
-            if not ok:
-                raise ValueError(f"config field {name!r} has bad value {value!r}")
-        raw["channels"] = tuple(raw["channels"])
-        return cls(**raw)
+        return from_echo(cls, raw, "config", strict_ints=True)
 
 
 def _weight_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -380,68 +364,24 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(model: CountModel, path) -> None:
-    """Write magic, version, config JSON, named weight blocks, CRC32."""
-    body = bytearray()
-    body += CHECKPOINT_VERSION.to_bytes(2, "little")
-    cfg = model.config.to_json().encode()
-    body += len(cfg).to_bytes(4, "little") + cfg
-    body += len(model.weights).to_bytes(2, "little")
+    """Write the config JSON and named weight blocks inside the file envelope."""
+    body = bytearray(uint(len(model.weights), 2, "weight count"))
     for name, arr in model.weights.items():
         nb = name.encode()
-        body += len(nb).to_bytes(2, "little") + nb
-        body += arr.ndim.to_bytes(1, "little")
-        for extent in arr.shape:
-            body += extent.to_bytes(4, "little")
+        body += uint(len(nb), 2, "name length") + nb
+        body += uint(arr.ndim, 1, "ndim") + uints(arr.shape, "<u4", "extent")
         body += np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(body)
-        fh.write(zlib.crc32(body).to_bytes(4, "little"))
-
-
-class _Reader:
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.pos = offset
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError(f"truncated at byte {self.pos}: needed {n} more")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u(self, n: int) -> int:
-        return int.from_bytes(self.take(n), "little")
+    _envelope.write(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, model.config.to_json(), body)
 
 
 def load_checkpoint(path) -> CountModel:
     """Exact inverse of save_checkpoint, with integrity verification."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic at byte 0: {blob[:4]!r}")
-    if len(blob) < 8:
-        raise CheckpointError("file too short for checksum")
-    body, stored = blob[4:-4], int.from_bytes(blob[-4:], "little")
-    if zlib.crc32(body) != stored:
-        raise CheckpointError("checksum mismatch")
-    r = _Reader(body)
-    version = r.u(2)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported version {version}")
-    echo = r.take(r.u(4))
-    try:
-        cfg = ModelConfig.from_json(echo.decode())
-    except ValueError as exc:  # includes malformed JSON and undecodable bytes
-        raise CheckpointError(f"config echo: {exc}") from exc
+    r = _envelope.open_body(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
+    cfg = r.echo(ModelConfig.from_json, "config")
     weights: dict[str, np.ndarray] = {}
     for _ in range(r.u(2)):
         name = r.take(r.u(2)).decode()
-        shape = tuple(r.u(4) for _ in range(r.u(1)))
-        count = math.prod(shape)
-        arr = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
-        weights[name] = arr.astype(np.float64)
-    if r.pos != len(body):
-        raise CheckpointError(f"{len(body) - r.pos} trailing bytes after weights")
+        shape = tuple(r.array("<u4", r.u(1)).tolist())
+        weights[name] = r.array("<f8", math.prod(shape)).reshape(shape).astype(np.float64)
+    r.finish("weights")
     return CountModel(cfg, weights)

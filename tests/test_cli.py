@@ -11,7 +11,7 @@ import pytest
 
 from countgrad.cli import _SECTION_KEYS, main
 from countgrad.datagen import corpora_equal, read_corpus
-from countgrad.model import load_checkpoint
+from countgrad.model import CountModel, load_checkpoint
 
 TINY_SCENE = """
     [scene]
@@ -289,6 +289,27 @@ class TestExperimentCommands:
         assert len(rows) == 5  # header + 2 models x 2 ratios
         assert (out / "size_class_drift.csv").exists()
 
+    def test_size_bias_by_class_predicts_once(self, trained, tmp_path, monkeypatch):
+        # 14 scenes run as 4 forwards (4+4+4+2) at each of ratios 1, 2 and 3
+        _, ckpt, _, _ = trained
+        corpus = gen_corpus(tmp_path, "sb14", n=14, split="test")
+        calls = []
+        forward_on_tape = CountModel.forward_on_tape
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return forward_on_tape(self, *args, **kwargs)
+
+        monkeypatch.setattr(CountModel, "forward_on_tape", counted)
+        cfg = write_config(
+            tmp_path,
+            "sb14.ini",
+            f"[size-bias]\ncheckpoints = a={ckpt}\ncorpus = {corpus}\nratios = 1,2,3\nby_size_class = true\n",
+        )
+        assert main(["size-bias", cfg, "--out", str(tmp_path / "sb14_out")]) == 0
+        assert len(calls) == 12
+        assert len((tmp_path / "sb14_out" / "size_class_drift.csv").read_text().splitlines()) > 1
+
     def test_threshold_sweep(self, trained, tmp_path):
         _, ckpt, _, val_corpus = trained
         cfg = write_config(
@@ -371,6 +392,28 @@ class TestExperimentCommands:
         rows = (out / "ablation.csv").read_text().splitlines()
         assert len(rows) == 2
         assert rows[1].startswith("no-weak,")
+
+    def test_init_checkpoint_rejected(self, trained, tmp_path, capsys):
+        _, ckpt, train_corpus, val_corpus = trained
+        cfg = write_config(
+            tmp_path,
+            "ab3.ini",
+            TINY_MODEL + f"""
+    init_checkpoint = {ckpt}
+
+    [ablate]
+    variants = no-weak
+    strong_train_corpus = {train_corpus}
+    strong_val_corpus = {val_corpus}
+    weak_train_corpus = {train_corpus}
+    weak_val_corpus = {val_corpus}
+    eval_corpus = {val_corpus}
+    """,
+        )
+        out = tmp_path / "ab3"
+        assert main(["ablate", cfg, "--out", str(out)]) == 1
+        assert "init_checkpoint" in capsys.readouterr().err
+        assert not (out / "ablation.csv").exists()
 
     def test_unknown_variant_fails(self, trained, tmp_path, capsys):
         _, _, train_corpus, val_corpus = trained

@@ -1,5 +1,8 @@
 """Corpus generation: determinism, annotation invariants, serialization."""
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -133,6 +136,39 @@ class TestRle:
         runs = rle_encode(np.array([True, True, False]))
         np.testing.assert_array_equal(runs, [0, 2, 1])
 
+    @staticmethod
+    def loop_encode(flat):
+        """Reference: run lengths from a pixel loop, False run first."""
+        runs, value, n = [], False, 0
+        for pixel in flat:
+            if pixel != value:
+                runs.append(n)
+                value, n = pixel, 0
+            n += 1
+        return runs + [n] if len(flat) else []
+
+    @staticmethod
+    def loop_decode(runs, size):
+        """Reference: fill alternating False/True runs one by one."""
+        out = np.zeros(size, dtype=bool)
+        pos, value = 0, False
+        for r in runs:
+            out[pos : pos + r] = value
+            pos, value = pos + int(r), not value
+        return out
+
+    def test_equal_to_loop_reference(self):
+        rng = np.random.default_rng(1)
+        cases = [np.zeros(0, bool), np.ones(1, bool), np.zeros(1, bool), np.ones(7, bool), np.zeros(7, bool)]
+        cases += [rng.random(rng.integers(1, 300)) < rng.uniform(0.05, 0.95) for _ in range(100)]
+        for flat in cases:
+            runs = rle_encode(flat)
+            assert runs.dtype == np.int64
+            np.testing.assert_array_equal(runs, self.loop_encode(flat.tolist()))
+            decoded = rle_decode(runs, flat.size)
+            assert decoded.dtype == bool
+            np.testing.assert_array_equal(decoded, self.loop_decode(runs, flat.size))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(CorpusError):
             rle_decode(np.array([2, 2]), 5)
@@ -192,6 +228,41 @@ class TestCorpusIO:
         path.write_bytes(path.read_bytes()[:30])
         with pytest.raises(CorpusError):
             read_corpus(path)
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            (lambda spec: spec.pop("seed"), "seed"),
+            (lambda spec: spec.update(depth=3), "depth"),
+            (lambda spec: spec.update(image_size="48"), "image_size"),
+            (lambda spec: spec.update(background="0.1"), "background"),
+            (lambda spec: spec.update(n_negative_points=True), "n_negative_points"),
+            (lambda spec: spec.update(count_range=[1, 2, 3]), "count_range"),
+            (lambda spec: spec.update(shape_kinds="disk"), "shape_kinds"),
+            (lambda spec: spec.update(radius_range=[5.0, 2.0]), "radius_range"),
+        ],
+        ids=["missing", "unknown", "wrong-type", "float-as-string", "bool", "long-range", "not-a-list", "empty-range"],
+    )
+    def test_bad_spec_echo_names_the_field(self, tmp_path, edit, field):
+        path = tmp_path / "c.corpus"
+        write_corpus(make_corpus(small_spec(), 2), path)
+        blob = path.read_bytes()
+        body = blob[4:-4]
+        n = int.from_bytes(body[2:6], "little")
+        spec = json.loads(body[6 : 6 + n])
+        edit(spec)
+        text = json.dumps(spec, sort_keys=True).encode()
+        body = body[:2] + len(text).to_bytes(4, "little") + text + body[6 + n :]
+        path.write_bytes(blob[:4] + body + zlib.crc32(body).to_bytes(4, "little"))
+        with pytest.raises(CorpusError, match=field):
+            read_corpus(path)
+
+    def test_numeric_spec_fields_take_any_number(self, tmp_path):
+        # the constructor accepts floats for integer fields and ints for float ones
+        corpus = make_corpus(small_spec(count_range=(1.0, 3.0), radius_range=(2, 3), background=0), 2)
+        path = tmp_path / "c.corpus"
+        write_corpus(corpus, path)
+        assert corpora_equal(read_corpus(path), corpus)
 
     def test_duplicate_ids_rejected(self):
         corpus = make_corpus(small_spec(), 2)

@@ -335,10 +335,11 @@ class TestCheckpoint:
             (lambda cfg: cfg.update(depth=3), "depth"),
             (lambda cfg: cfg.pop("embed_dim"), "embed_dim"),
             (lambda cfg: cfg.update(input_size="16"), "input_size"),
+            (lambda cfg: cfg.update(input_size=16.0), "input_size"),
             (lambda cfg: cfg.update(input_size=20), "input_size"),
             (lambda cfg: cfg.update(channels=[2, 3]), "channels"),
         ],
-        ids=["legacy-grid-factor-4", "unknown", "missing", "wrong-type", "bad-size", "bad-channels"],
+        ids=["legacy-grid-factor-4", "unknown", "missing", "wrong-type", "float-size", "bad-size", "bad-channels"],
     )
     def test_bad_config_echo_names_the_field(self, tmp_path, edit, field):
         path = tmp_path / "m.ckpt"
