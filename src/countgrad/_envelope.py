@@ -74,6 +74,15 @@ class Reader:
     def u(self, n: int) -> int:
         return int.from_bytes(self.take(n), "little")
 
+    def text(self, what: str) -> str:
+        """The next u16-length UTF-8 string; undecodable bytes raise the format's error."""
+        start = self.pos
+        raw = self.take(self.u(2))
+        try:
+            return raw.decode()
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} at byte {start} is not UTF-8: {exc}") from None
+
     def array(self, dtype: str, count: int) -> np.ndarray:
         """The next ``count`` items of ``dtype`` as a read-only array."""
         return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype)

@@ -18,6 +18,11 @@ per tape; see ``harness.train``). Memory is kept to what the backward pass
 needs: each node's rule retains only the operands its gradient uses (sums
 retain none, a convolution its padded input, a rectifier one bool mask),
 and :func:`backward` frees each interior gradient once it has propagated.
+
+A convolution layer is one node: :func:`conv2d` can add a per-channel bias
+and apply the leaky ReLU in place on its GEMM output. The rectifier, there
+and in :func:`leaky_relu`, is the branch-free ``max(x, slope * x)``, and
+its gradient scales by ``slope`` or 1 through the node's one bool mask.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ class _KinkTape(Tape):
     def __init__(self):
         super().__init__()
         # True once any op was evaluated exactly at a subgradient point
-        # (l1_diff residual 0, leaky_relu input 0, clamp at a bound).
+        # (l1_diff residual 0, leaky ReLU input 0, clamp at a bound).
         self.at_kink = False
         # per-op record of which side of each kink the evaluation fell on;
         # lets grad_check detect stencils that straddle a kink
@@ -150,11 +155,11 @@ def _tape_of(*operands) -> Tape | None:
     return tape
 
 
-def _note_kink(x, side: np.ndarray, on_kink) -> None:
+def _note_kink(tape: Tape | None, side: np.ndarray, on_kink) -> None:
     """On grad_check's tapes only: record each element's side of a kink, and ``on_kink()``."""
-    if isinstance(x, DiffArray) and isinstance(x.tape, _KinkTape):
-        x.tape.kink_signature.append(side)
-        x.tape.at_kink |= bool(on_kink())
+    if isinstance(tape, _KinkTape):
+        tape.kink_signature.append(side)
+        tape.at_kink |= bool(on_kink())
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -190,22 +195,34 @@ def _unary(x, out, vjp):
     return out
 
 
+def _record_rules(tape: Tape, out, rules, pre=None) -> DiffArray:
+    """Record ``out`` with the rule of each (operand, rule) pair whose operand is on ``tape``.
+
+    A rule keeps alive only what it references, so callers build each from
+    just what that operand's gradient needs; rules of constant operands
+    are dropped. ``pre``, if given, maps the output gradient once before
+    the rules see it.
+    """
+    parents = tuple(x.node_id for x, _ in rules if isinstance(x, DiffArray))
+    grads = [rule for x, rule in rules if isinstance(x, DiffArray)]
+
+    def vjp(g):
+        if pre is not None:
+            g = pre(g)
+        return tuple(fn(g) for fn in grads)
+
+    return tape._record(out, parents, vjp)
+
+
 def _binary(a, b, out, grad_a, grad_b):
     """Record ``out`` with the gradient rule of each operand that is on a tape.
 
-    With both operands constant, ``out`` is returned unrecorded. A rule
-    keeps alive only what it references, so callers build each from just
-    what that operand's gradient needs.
+    With both operands constant, ``out`` is returned unrecorded.
     """
     tape = _tape_of(a, b)
     if tape is None:
         return out
-    parents, grads = [], []
-    for x, grad in ((a, grad_a), (b, grad_b)):
-        if isinstance(x, DiffArray):
-            parents.append(x.node_id)
-            grads.append(grad)
-    return tape._record(out, tuple(parents), lambda g: tuple(fn(g) for fn in grads))
+    return _record_rules(tape, out, ((a, grad_a), (b, grad_b)))
 
 
 def add(a, b) -> DiffArray:
@@ -307,13 +324,33 @@ def softplus(x: DiffArray) -> DiffArray:
     return _unary(x, np.logaddexp(0.0, xv), lambda g: (g * expit(xv),))
 
 
+def _rectify(z: np.ndarray, slope: float, tape: Tape | None, out=None):
+    """Leaky ReLU ``max(z, slope * z)`` into ``out`` (``z`` itself rectifies in place).
+
+    For slope in [0, 1] and finite z this equals ``where(z > 0, z, slope *
+    z)`` bit for bit, without its data-dependent branch; other slopes are
+    rejected. Returns the result and, when the node is recorded on
+    ``tape``, the gradient scaling ``g -> g * [slope, 1][z > 0]``, whose
+    bool mask the kink signature shares; with no tape there is no mask and
+    the scaling is None.
+    """
+    slope = float(slope)
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(
+            f"leaky ReLU slope {slope!r} outside [0, 1], where max(x, slope * x) is not the rectifier"
+        )
+    if tape is None:
+        return np.maximum(z, slope * z, out=out), None
+    positive = z > 0.0
+    _note_kink(tape, positive, lambda: np.any(z == 0.0))
+    factors = np.array([slope, 1.0])
+    return np.maximum(z, slope * z, out=out), lambda g: g * factors.take(positive)
+
+
 def leaky_relu(x: DiffArray, alpha: float = 0.1) -> DiffArray:
-    xv = _values(x)
-    positive = xv > 0.0
-    # the backward rule and the kink signature share this one mask
-    _note_kink(x, positive, lambda: np.any(xv == 0.0))
-    out = np.where(positive, xv, alpha * xv)
-    return _unary(x, out, lambda g: (np.where(positive, g, alpha * g),))
+    """``x`` where positive, ``alpha * x`` elsewhere; ``alpha`` must lie in [0, 1]."""
+    out, scale_grad = _rectify(_values(x), alpha, _tape_of(x))
+    return _unary(x, out, lambda g: (scale_grad(g),))
 
 
 def log(x: DiffArray) -> DiffArray:
@@ -335,7 +372,7 @@ def clamp(x: DiffArray, lo: float, hi: float) -> DiffArray:
     """Clip to [lo, hi]; gradient passes through strictly inside the interval."""
     xv = _values(x)
     inside = (xv > lo) & (xv < hi)
-    _note_kink(x, inside, lambda: np.any(xv == lo) or np.any(xv == hi))
+    _note_kink(_tape_of(x), inside, lambda: np.any(xv == lo) or np.any(xv == hi))
     return _unary(x, np.clip(xv, lo, hi), lambda g: (g * inside,))
 
 
@@ -362,16 +399,21 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
     return windows.reshape(b * ho * wo, kh * kw * c)
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> DiffArray:
+def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) -> DiffArray:
     """Cross-correlate (H, W, C) or batched (B, H, W, C) input with a (kh, kw, C, C') kernel.
 
     Output spatial extent is floor((H + 2*padding - kh) / stride) + 1 per
-    axis. The whole batch runs as one im2col GEMM. Gradient rules are
-    recorded for both input and kernel; the node keeps only the padded
-    input, and only when the kernel needs a gradient (the kernel gradient
-    rebuilds the columns from it). The input gradient is a transposed
-    convolution at stride 1 and one GEMM per kernel tap otherwise (larger
-    strides, or padding so wide that some outputs see only zeros).
+    axis. The whole batch runs as one im2col GEMM. A ``bias`` of shape
+    (C',) is added in place to the GEMM output, and with ``slope`` (in
+    [0, 1]) the leaky ReLU rectifies it in place, so a whole
+    conv-bias-rectifier layer is one node; its values and gradients are
+    those of ``leaky_relu(add(conv2d(x, kernel), bias), slope)`` bit for
+    bit. Gradient rules are recorded for input, kernel and bias; the node
+    keeps the padded input only when the kernel needs a gradient (the
+    kernel gradient rebuilds the columns from it), and the rectifier's
+    bool mask. The input gradient is a transposed convolution at stride 1
+    and one GEMM per kernel tap otherwise (larger strides, or padding so
+    wide that some outputs see only zeros).
     """
     xv, kv = _values(x), _values(kernel)
     if xv.ndim not in (3, 4) or kv.ndim != 4:
@@ -389,14 +431,25 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> DiffArray:
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ValueError("kernel larger than padded input")
+    bv = None if bias is None else _values(bias)
+    if bv is not None and bv.shape != (co,):
+        raise ValueError(f"bias shape {bv.shape} does not match the kernel's ({co},) outputs")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     in_shape = xv.shape
+    tape = _tape_of(x, kernel, bias)
 
     xp = _pad(xb, padding, padding)
     out = (_im2col(xp, kh, kw, stride, ho, wo) @ kv.reshape(kh * kw * c, co)).reshape(b, ho, wo, co)
     if not batched:
         out = out[0]
+    if bv is not None:
+        out += bv
+    scale_grad = None
+    if slope is not None:
+        out, scale_grad = _rectify(out, slope, tape, out=out)
+    if tape is None:
+        return out
 
     if stride == 1 and padding < min(kh, kw):
 
@@ -420,7 +473,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> DiffArray:
         cols = _im2col(xp, kh, kw, stride, ho, wo)
         return (cols.T @ g.reshape(b * ho * wo, co)).reshape(kh, kw, c, co)
 
-    return _binary(x, kernel, out, grad_input, grad_kernel)
+    def grad_bias(g):
+        return _unbroadcast(g, (co,))
+
+    rules = ((x, grad_input), (kernel, grad_kernel), (bias, grad_bias))
+    return _record_rules(tape, out, rules, pre=scale_grad)
 
 
 def upsample_nearest(x: DiffArray, factor: int = 2) -> DiffArray:
@@ -460,7 +517,7 @@ def l1_diff(a: DiffArray, b) -> DiffArray:
         raise ValueError(f"shape mismatch: {av.shape} vs {bv.shape}")
     r = av - bv
     s = np.sign(r)
-    _note_kink(a, s, lambda: np.any(r == 0.0))
+    _note_kink(_tape_of(a), s, lambda: np.any(r == 0.0))
     return _unary(a, np.asarray(np.abs(r).sum()), lambda g: (g * s,))
 
 

@@ -308,7 +308,7 @@ def write_corpus(corpus: Corpus, path) -> None:
 def read_corpus(path) -> Corpus:
     r = _envelope.open_body(path, CORPUS_MAGIC, CORPUS_VERSION, CorpusError)
     spec = r.echo(SceneSpec.from_json, "spec")
-    split = r.take(r.u(2)).decode()
+    split = r.text("split")
     items = []
     for _ in range(r.u(4)):
         scene_id = r.u(4)

@@ -251,39 +251,30 @@ class CountModel:
         gate2, gate3 = ad.reshape(gate2, (b, 1, 1, c2)), ad.reshape(gate3, (b, 1, 1, c3))
         cls_query = ad.add(ad.matvec(w["cls_proj_w"], emb), w["cls_proj_b"])
 
-        def block(h, kname, bname, stride):
-            return ad.leaky_relu(
-                ad.add(ad.conv2d(h, w[kname], stride=stride, padding=1), w[bname])
+        def block(h, name, stride):
+            # conv, bias and leaky ReLU as one tape node
+            return ad.conv2d(
+                h, w[f"{name}_k"], stride=stride, padding=1, bias=w[f"{name}_b"], slope=0.1
             )
 
-        h1 = block(x, "stage1_k", "stage1_b", 2)
-        h2 = block(h1, "stage2_k", "stage2_b", 2)
-        h3 = block(h2, "stage3_k", "stage3_b", 2)
+        h1 = block(x, "stage1", 2)
+        h2 = block(h1, "stage2", 2)
+        h3 = block(h2, "stage3", 2)
 
         # category conditioning: per-channel sigmoid gates on both scales
         h2g = ad.mul(h2, gate2)
         h3g = ad.mul(h3, gate3)
 
         # one top-down refinement pass: upsample deep features onto mid scale
-        fused = ad.leaky_relu(
-            ad.add(
-                ad.conv2d(
-                    ad.concat_channels(h2g, ad.upsample_nearest(h3g, 2)),
-                    w["fuse_k"],
-                    stride=1,
-                    padding=1,
-                ),
-                w["fuse_b"],
-            )
-        )
+        fused = block(ad.concat_channels(h2g, ad.upsample_nearest(h3g, 2)), "fuse", 1)
 
-        f_cnt = block(fused, "head_cnt_k", "head_cnt_b", 2)
-        f_cls = block(fused, "head_cls_k", "head_cls_b", 2)
+        f_cnt = block(fused, "head_cnt", 2)
+        f_cls = block(fused, "head_cls", 2)
 
         g = cfg.grid_size
         out_shape = (g, g) if single else (b, g, g)
         y_cnt = ad.reshape(
-            ad.softplus(ad.add(ad.conv2d(f_cnt, w["cnt_out_k"]), w["cnt_out_b"])),
+            ad.softplus(ad.conv2d(f_cnt, w["cnt_out_k"], bias=w["cnt_out_b"])),
             out_shape,
         )
         # each row's cells against its own category's query vector
@@ -380,7 +371,7 @@ def load_checkpoint(path) -> CountModel:
     cfg = r.echo(ModelConfig.from_json, "config")
     weights: dict[str, np.ndarray] = {}
     for _ in range(r.u(2)):
-        name = r.take(r.u(2)).decode()
+        name = r.text("weight name")
         shape = tuple(r.array("<u4", r.u(1)).tolist())
         weights[name] = r.array("<f8", math.prod(shape)).reshape(shape).astype(np.float64)
     r.finish("weights")

@@ -53,8 +53,8 @@ class InstanceMask:
 class SceneInstance:
     """One object in a scene.
 
-    ``mask`` is None only for instances that fell below one pixel during
-    downscaling; those keep their count and carry ``subpixel=True``.
+    ``mask`` is None exactly for instances that fell below one pixel
+    during downscaling; those keep their count and carry ``subpixel=True``.
     """
 
     category_id: int
@@ -64,6 +64,8 @@ class SceneInstance:
     def __post_init__(self):
         if self.mask is None and not self.subpixel:
             raise ValueError("maskless instance must be flagged subpixel")
+        if self.mask is not None and self.subpixel:
+            raise ValueError("subpixel instance must not carry a mask")
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,9 @@ def _primitive_cases():
     imgs = rng.normal(size=(3, 6, 6, 2))  # a batch, as the training tapes record it
     w_convs = rng.normal(size=(3, 6, 6, 3))
     w_convs_s2 = rng.normal(size=(3, 3, 3, 3))
+    # drawn after every other case's data, so those stay as they were
+    bias = rng.normal(size=(3,))
+    w_block = rng.normal(size=(3, 3, 3, 3))
 
     cases = [
         ("add_lhs", a, lambda p: _weighted_sum(ad.add(p, ad.new_param(p.tape, b)), w)),
@@ -307,6 +310,21 @@ def _primitive_cases():
             ker,
             lambda p: _weighted_sum(
                 ad.conv2d(ad.new_param(p.tape, imgs), p, stride=2, padding=1), w_convs_s2
+            ),
+        ),
+        (
+            "conv2d_block",
+            imgs,
+            lambda p: _weighted_sum(
+                ad.conv2d(
+                    p,
+                    ad.new_param(p.tape, ker),
+                    stride=2,
+                    padding=1,
+                    bias=ad.new_param(p.tape, bias),
+                    slope=0.1,
+                ),
+                w_block,
             ),
         ),
     ]

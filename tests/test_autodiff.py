@@ -5,6 +5,8 @@ random points chosen away from kinks. The checker itself is exercised on
 known-good and deliberately broken gradients.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,19 @@ class TestElementwise:
         np.testing.assert_allclose(y.values, [-0.2, 3.0])
         grads = ad.backward(tape, ad.reduce_sum(y))
         np.testing.assert_allclose(grads.wrt(x), [0.1, 1.0])
+
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+    def test_leaky_relu_equals_the_two_branch_form_bit_for_bit(self, slope):
+        # max(x, slope * x) stands in for where(x > 0, x, slope * x) for slopes in [0, 1]
+        rng = np.random.default_rng(7)
+        z, w = rng.normal(size=(2, 40))
+        z[:2] = 0.0, -0.0
+        tape = ad.Tape()
+        x = ad.new_param(tape, z)
+        y = ad.leaky_relu(x, slope)
+        grad = ad.backward(tape, ad.reduce_sum(ad.mul(y, w))).wrt(x)
+        assert y.values.tobytes() == np.where(z > 0, z, slope * z).tobytes()
+        assert grad.tobytes() == np.where(z > 0, w, slope * w).tobytes()
 
     def test_log_and_sqrt(self):
         rng = np.random.default_rng(7)
@@ -367,6 +382,84 @@ class TestBatched:
         check(fn, rng.normal(size=(2, 3, 3, 2)))
 
 
+class TestFusedConvLayer:
+    """conv2d with bias and slope: one node, bit-identical to conv, add, leaky_relu."""
+
+    @pytest.mark.parametrize("slope", [0.1, None], ids=["slope", "bias-only"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
+    def test_matches_the_three_node_chain_bit_for_bit(self, lead, stride, slope):
+        rng = np.random.default_rng(70 + stride)
+        xv = rng.normal(size=(*lead, 6, 6, 2))
+        kv = rng.normal(size=(3, 3, 2, 4))
+        bv = rng.normal(size=(4,))
+        w = rng.normal(size=(*lead, 6 // stride, 6 // stride, 4))
+
+        def run(fused):
+            tape = ad.Tape()
+            x, k, b = (ad.new_param(tape, v) for v in (xv, kv, bv))
+            if fused:
+                y = ad.conv2d(x, k, stride=stride, padding=1, bias=b, slope=slope)
+            else:
+                y = ad.add(ad.conv2d(x, k, stride=stride, padding=1), b)
+                if slope is not None:
+                    y = ad.leaky_relu(y, slope)
+            grads = ad.backward(tape, ad.reduce_sum(ad.mul(y, w)))
+            return len(tape), y.values, [grads.wrt(p) for p in (x, k, b)]
+
+        n_fused, y_fused, g_fused = run(True)
+        n_chain, y_chain, g_chain = run(False)
+        assert n_chain - n_fused == (2 if slope is not None else 1)
+        assert y_fused.tobytes() == y_chain.tobytes()
+        for a, b in zip(g_fused, g_chain):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("wrt", ["input", "kernel", "bias"])
+    def test_gradients(self, wrt):
+        rng = np.random.default_rng(75)
+        operands = {
+            "input": rng.normal(size=(2, 6, 6, 2)),
+            "kernel": rng.normal(size=(3, 3, 2, 3)) * 0.5,
+            "bias": rng.normal(size=(3,)),
+        }
+        w = rng.normal(size=(2, 3, 3, 3))
+
+        def fn(p):
+            args = {k: (p if k == wrt else v) for k, v in operands.items()}
+            y = ad.conv2d(args["input"], args["kernel"], 2, 1, bias=args["bias"], slope=0.1)
+            return ad.reduce_sum(ad.mul(y, w))
+
+        res = ad.grad_check(fn, operands[wrt])
+        assert not res.at_kink
+        assert res.max_rel_error <= TOL
+
+    def test_exact_zero_pre_activation_is_a_kink(self):
+        # a zero input patch and a zero bias entry put that output exactly at the origin
+        rng = np.random.default_rng(76)
+        x = rng.normal(size=(5, 5, 2))
+        x[:3, :3] = 0.0
+        k = rng.normal(size=(3, 3, 2, 2))
+        bias = np.array([0.0, 0.4])
+        res = ad.grad_check(
+            lambda p: ad.reduce_sum(ad.conv2d(x, k, bias=p, slope=0.1)), bias
+        )
+        assert res.at_kink
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+    def test_slope_outside_unit_interval_rejected(self, slope):
+        x, k = np.zeros((4, 4, 1)), np.zeros((3, 3, 1, 2))
+        with pytest.raises(ValueError, match=f"slope {slope!r}"):
+            ad.conv2d(x, k, bias=np.zeros(2), slope=slope)
+        with pytest.raises(ValueError, match=f"slope {slope!r}"):
+            ad.leaky_relu(ad.new_param(ad.Tape(), np.ones(2)), alpha=slope)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), ()])
+    def test_bias_shape_must_be_output_channels(self, shape):
+        x, k = np.zeros((4, 4, 1)), np.zeros((3, 3, 1, 2))
+        with pytest.raises(ValueError, match=re.escape(f"bias shape {shape}") + ".*" + re.escape("(2,)")):
+            ad.conv2d(x, k, bias=np.zeros(shape))
+
+
 class TestReductionsAndL1:
     def test_reduce_sum_scalar_shape(self):
         tape = ad.Tape()
@@ -421,6 +514,11 @@ FOLD_CASES = [
     ("sqrt", ad.sqrt, (_POS,)),
     ("clamp", lambda x: ad.clamp(x, -0.5, 0.5), (_ANY,)),
     ("conv2d", lambda x, k: ad.conv2d(x, k, stride=2, padding=1), (_IMGS, _KER)),
+    (
+        "conv2d_block",
+        lambda x, k, b: ad.conv2d(x, k, stride=2, padding=1, bias=b, slope=0.1),
+        (_IMGS, _KER, _MAT[0]),
+    ),
     ("upsample_nearest", ad.upsample_nearest, (_IMGS,)),
     ("reduce_sum", lambda x: ad.reduce_sum(x, axis=-1), (_ANY,)),
     ("l1_diff", lambda x: ad.l1_diff(x, _POS), (_ANY,)),
@@ -434,7 +532,9 @@ class TestConstantFolding:
         not_primitives = {
             "Tape", "DiffArray", "Gradients", "GradCheckResult", "new_param", "backward", "grad_check"
         }
-        assert {name for name, _, _ in FOLD_CASES} == set(ad.__all__) - not_primitives
+        # a whole conv layer (bias and rectifier) is a second conv2d case
+        names = {name.removesuffix("_block") for name, _, _ in FOLD_CASES}
+        assert names == set(ad.__all__) - not_primitives
 
     @pytest.mark.parametrize("name,call,operands", FOLD_CASES, ids=[c[0] for c in FOLD_CASES])
     def test_constants_fold_to_the_recorded_values(self, name, call, operands):

@@ -142,3 +142,17 @@ def test_envelope_violation_names_its_byte_position(tmp_path, fmt, damage):
     with pytest.raises(error, match=message) as info:
         read(path)
     assert re.search(r"at byte \d+", str(info.value))
+
+
+@pytest.mark.parametrize(
+    "fmt,name,what", [("corpus", b"golden", "split"), ("checkpoint", b"stage1_k", "weight name")]
+)
+def test_name_that_is_not_utf8_raises_the_format_error(tmp_path, fmt, name, what):
+    write, read, error = FORMATS[fmt]
+    path = tmp_path / "f"
+    write(path)
+    blob = path.read_bytes()
+    start = blob.index(name) - 2  # the u16 length in front of the name
+    path.write_bytes(reframe(blob, lambda body: body.replace(name, b"\xff" + name[1:], 1)))
+    with pytest.raises(error, match=f"{what} at byte {start} is not UTF-8"):
+        read(path)

@@ -130,6 +130,19 @@ class TestForward:
         np.testing.assert_array_equal(frozen.y_cnt, trained.y_cnt.values)
         np.testing.assert_array_equal(frozen.y_cls, trained.y_cls.values)
 
+    def test_each_conv_layer_is_one_tape_node(self):
+        # 23 weight leaves and 30 interior nodes; a conv layer's bias and
+        # rectifier live inside its conv2d node
+        model = CountModel.create(SMALL)
+        tape = ad.Tape()
+        model.forward_on_tape(tape, np.zeros((IMAGES_PER_FORWARD, 16, 16)), 0, trainable=True)
+        assert len(model.weights) == 23
+        assert len(tape) == 53
+        # guidance: the image is the only leaf, so only its 20 descendants are recorded
+        tape = ad.Tape()
+        model.forward_on_tape(tape, ad.new_param(tape, np.zeros((16, 16))), 0)
+        assert len(tape) == 21
+
     def test_repeated_forward_stays_finite(self):
         model = CountModel.create(SMALL)
         rng = np.random.default_rng(4)
