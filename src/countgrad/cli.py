@@ -13,7 +13,7 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -43,27 +43,27 @@ class ConfigError(ValueError):
     """Raised for missing, unknown, or ill-typed config keys."""
 
 
+def _field_keys(f) -> tuple[str, ...]:
+    """The INI keys of dataclass field ``f``: a ``<x>_range`` pair has ``<x>_min`` and ``<x>_max``."""
+    stem = f.name.removesuffix("_range")
+    return (f"{stem}_min", f"{stem}_max") if stem != f.name else (f.name,)
+
+
+def _keys(cls, *fixed) -> set[str]:
+    """The keys of a section read into ``cls`` by ``_read``, less the ``fixed`` fields."""
+    return {k for f in fields(cls) if f.name not in fixed for k in _field_keys(f)}
+
+
 # Hyperparameters of one training stage: [train] and ablate's [strong-train]
-# and [weak-train] all read them through _train_config.
-_TRAINING_KEYS = {
-    "epochs", "batch_size", "patience", "lr_heads", "lr_trunk", "seed", "target",
-    "sigma", "adam_eps",
-}
+# and [weak-train] all read them into a TrainConfig; the command sets the rest.
+_TRAINING_KEYS = _keys(TrainConfig, "stage", "weights")
 
 _SECTION_KEYS = {
-    "scene": {
-        "image_size", "shape_kinds", "count_min", "count_max", "radius_min",
-        "radius_max", "min_separation", "background", "intensity_min",
-        "intensity_max", "noise_amplitude", "n_negative_points",
-        "distractor_min", "distractor_max", "seed",
-    },
+    "scene": _keys(SceneSpec),
     "corpus": {"n", "split", "first_id"},
-    "model": {
-        "input_size", "channels", "fused_channels", "embed_dim",
-        "num_categories", "seed", "init_checkpoint",
-    },
+    "model": _keys(ModelConfig) | {"init_checkpoint"},
     "train": _TRAINING_KEYS | {"stage", "train_corpus", "val_corpus", "strong_mix_corpus"},
-    "loss": {"alpha1", "beta1", "alpha2", "beta2", "gamma"},
+    "loss": _keys(LossWeights),
     "eval": {"checkpoint", "corpus", "kappa", "tile_size"},
     "size-bias": {"checkpoints", "corpus", "ratios", "by_size_class"},
     "threshold-sweep": {"checkpoint", "corpus", "kappas"},
@@ -104,87 +104,50 @@ def _section(cfg, name, required=False):
     return cfg["DEFAULT"]  # empty; getters fall back to defaults
 
 
-def _require(section, key):
-    value = section.get(key)
-    if value is None:
+def _require(section, key, like=""):
+    """``section[key]``, typed like ``like`` by ``_get``; a missing key is an error."""
+    if section.get(key) is None:
         raise ConfigError(f"missing required key {key!r} in [{section.name}]")
-    return value
+    return _get(section, key, like)
 
 
-def _values(section, key, cast, default) -> tuple:
-    """A comma-separated key as a tuple of ``cast`` values; ``default`` when absent."""
-    value = section.get(key)
-    return default if value is None else tuple(cast(v.strip()) for v in value.split(","))
+def _get(section, key, default):
+    """``section[key]`` typed like ``default``; ``default`` when the key is absent.
+
+    A tuple default reads a comma list typed like its first item, the None
+    default (``sigma``) a float with an empty value staying None, and a bool
+    default configparser's boolean words. An ill-typed value raises a
+    ConfigError naming the section and key.
+    """
+    text = section.get(key)
+    if text is None:
+        return default
+    try:
+        if isinstance(default, bool):
+            return section.getboolean(key)
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(v.strip()) for v in text.split(","))
+        if default is None:
+            return float(text) if text else None
+        return type(default)(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key}: {exc}") from None
 
 
-def _scene_spec(cfg, seed_override) -> SceneSpec:
-    s = _section(cfg, "scene")
-    d = SceneSpec()  # defaults
-    seed = seed_override if seed_override is not None else s.getint("seed", d.seed)
-    return SceneSpec(
-        image_size=s.getint("image_size", d.image_size),
-        shape_kinds=_values(s, "shape_kinds", str, d.shape_kinds),
-        count_range=(s.getint("count_min", d.count_range[0]), s.getint("count_max", d.count_range[1])),
-        radius_range=(s.getfloat("radius_min", d.radius_range[0]), s.getfloat("radius_max", d.radius_range[1])),
-        min_separation=s.getfloat("min_separation", d.min_separation),
-        background=s.getfloat("background", d.background),
-        intensity_range=(
-            s.getfloat("intensity_min", d.intensity_range[0]),
-            s.getfloat("intensity_max", d.intensity_range[1]),
-        ),
-        noise_amplitude=s.getfloat("noise_amplitude", d.noise_amplitude),
-        n_negative_points=s.getint("n_negative_points", d.n_negative_points),
-        distractor_range=(
-            s.getint("distractor_min", d.distractor_range[0]),
-            s.getint("distractor_max", d.distractor_range[1]),
-        ),
-        seed=seed,
-    )
-
-
-def _model_config(cfg) -> ModelConfig:
-    s = _section(cfg, "model")
-    d = ModelConfig()
-    return ModelConfig(
-        input_size=s.getint("input_size", d.input_size),
-        channels=_values(s, "channels", int, d.channels),
-        fused_channels=s.getint("fused_channels", d.fused_channels),
-        embed_dim=s.getint("embed_dim", d.embed_dim),
-        num_categories=s.getint("num_categories", d.num_categories),
-        seed=s.getint("seed", d.seed),
-    )
-
-
-def _loss_weights(cfg) -> LossWeights:
-    s = _section(cfg, "loss")
-    d = LossWeights()
-    return LossWeights(
-        alpha1=s.getfloat("alpha1", d.alpha1),
-        beta1=s.getfloat("beta1", d.beta1),
-        alpha2=s.getfloat("alpha2", d.alpha2),
-        beta2=s.getfloat("beta2", d.beta2),
-        gamma=s.getfloat("gamma", d.gamma),
-    )
-
-
-def _train_config(cfg, section_name, stage, weights, seed_override) -> TrainConfig:
-    s = _section(cfg, section_name)
-    d = TrainConfig()
-    seed = seed_override if seed_override is not None else s.getint("seed", d.seed)
-    sigma = s.getfloat("sigma") if s.get("sigma") else None
-    return TrainConfig(
-        stage=stage,
-        weights=weights,
-        lr_heads=s.getfloat("lr_heads", d.lr_heads),
-        lr_trunk=s.getfloat("lr_trunk", d.lr_trunk),
-        epochs=s.getint("epochs", d.epochs),
-        batch_size=s.getint("batch_size", d.batch_size),
-        patience=s.getint("patience", d.patience),
-        seed=seed,
-        target=s.get("target", d.target),
-        sigma=sigma,
-        adam_eps=s.getfloat("adam_eps", d.adam_eps),
-    )
+def _read(cfg, name, cls, **fixed):
+    """Section ``name`` as the dataclass ``cls``, each field read by ``_get``
+    like its default and a ``<x>_range`` pair from its two keys. ``fixed``
+    fields are set, not read, unless None (``seed`` without ``--seed``)."""
+    s = _section(cfg, name)
+    values = {k: v for k, v in fixed.items() if v is not None}
+    for f in fields(cls):
+        if f.name not in values:
+            keys = _field_keys(f)
+            if len(keys) == 1:
+                values[f.name] = _get(s, f.name, f.default)
+            else:
+                values[f.name] = tuple(_get(s, k, d) for k, d in zip(keys, f.default))
+    return cls(**values)
 
 
 def _read_corpus_at(section, key) -> Corpus:
@@ -210,11 +173,13 @@ def _write_summary(path, lines):
 
 
 def cmd_gen_data(cfg, seed, outdir):
-    spec = _scene_spec(cfg, seed)
+    spec = _read(cfg, "scene", SceneSpec, seed=seed)
     c = _section(cfg, "corpus")
-    n = c.getint("n", 100)
+    n = _get(c, "n", 100)
+    if n < 1:
+        raise ConfigError(f"[corpus] n must be at least 1, got {n}")
     split = c.get("split", "train")
-    first_id = c.getint("first_id", 0)
+    first_id = _get(c, "first_id", 0)
     corpus = make_corpus(spec, n, split=split, first_id=first_id)
 
     corpus_path = os.path.join(outdir, "corpus.bin")
@@ -240,14 +205,14 @@ def _load_model(cfg):
         if not os.path.exists(init):
             raise ConfigError(f"checkpoint not found: {init}")
         return load_checkpoint(init)
-    return CountModel.create(_model_config(cfg))
+    return CountModel.create(_read(cfg, "model", ModelConfig))
 
 
 def cmd_train(cfg, seed, outdir):
     t = _section(cfg, "train", required=True)
     stage = t.get("stage", "strong")
-    weights = _loss_weights(cfg)
-    config = _train_config(cfg, "train", stage, weights, seed)
+    weights = _read(cfg, "loss", LossWeights)
+    config = _read(cfg, "train", TrainConfig, stage=stage, weights=weights, seed=seed)
 
     train = _read_corpus_at(t, "train_corpus")
     val = _read_corpus_at(t, "val_corpus")
@@ -283,8 +248,8 @@ def cmd_eval(cfg, seed, outdir):
     s = _section(cfg, "eval", required=True)
     model = load_checkpoint(_require(s, "checkpoint"))
     corpus = _read_corpus_at(s, "corpus")
-    kappa = s.getfloat("kappa", 0.0)
-    tile_size = s.getint("tile_size") if s.get("tile_size") else None
+    kappa = _get(s, "kappa", 0.0)
+    tile_size = _get(s, "tile_size", 0) if s.get("tile_size") else None
 
     preds = predict_counts(model, corpus, kappa, tile_size)
     truths = [item.sample.scene.count(item.sample.category_id) for item in corpus.items]
@@ -314,8 +279,8 @@ def _named_checkpoints(value):
 def cmd_size_bias(cfg, seed, outdir):
     s = _section(cfg, "size-bias", required=True)
     corpus = _read_corpus_at(s, "corpus")
-    ratios = _values(s, "ratios", float, _RATIOS)
-    by_size_class = s.getboolean("by_size_class", False)
+    ratios = _get(s, "ratios", _RATIOS)
+    by_size_class = _get(s, "by_size_class", False)
     models = {}
     for name, path in _named_checkpoints(_require(s, "checkpoints")):
         if not os.path.exists(path):
@@ -354,7 +319,7 @@ def cmd_threshold_sweep(cfg, seed, outdir):
     s = _section(cfg, "threshold-sweep", required=True)
     model = load_checkpoint(_require(s, "checkpoint"))
     corpus = _read_corpus_at(s, "corpus")
-    kappas = _values(s, "kappas", float, (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
+    kappas = _get(s, "kappas", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
 
     rows, best = threshold_sweep(model, corpus, kappas)
     table_path = os.path.join(outdir, "threshold_sweep.csv")
@@ -371,31 +336,31 @@ def cmd_threshold_sweep(cfg, seed, outdir):
 def cmd_guide(cfg, seed, outdir):
     s = _section(cfg, "guide", required=True)
     model = load_checkpoint(_require(s, "checkpoint"))
-    q_req = float(_require(s, "q_req"))
+    q_req = _require(s, "q_req", 0.0)
     d = GuidanceConfig(q_req)
     gcfg = replace(
         d,
-        max_steps=s.getint("max_steps", d.max_steps),
-        step_size=s.getfloat("step_size", d.step_size),
-        plateau_patience=s.getint("plateau_patience", d.plateau_patience),
+        max_steps=_get(s, "max_steps", d.max_steps),
+        step_size=_get(s, "step_size", d.step_size),
+        plateau_patience=_get(s, "plateau_patience", d.plateau_patience),
     )
-    rng_seed = seed if seed is not None else s.getint("seed", 0)
+    rng_seed = seed if seed is not None else _get(s, "seed", 0)
     rng = np.random.default_rng(rng_seed)
     # Default start: two blobs short of the request. The counter's
     # gradient cannot reach blobs that start far outside the visible
     # range, so guidance works best closing a small gap from below.
-    n_on = s.getint("n_on", max(0, int(round(q_req)) - 2))
+    n_on = _get(s, "n_on", max(0, int(round(q_req)) - 2))
     params = init_blob_params(
         rng,
-        n_slots=s.getint("n_slots", max(12, n_on + 3)),
+        n_slots=_get(s, "n_slots", max(12, n_on + 3)),
         n_on=n_on,
         canvas=model.config.input_size,
     )
-    category = s.getint("category", 0)
+    category = _get(s, "category", 0)
     best, trajectory = guide_optimize(model, params, gcfg, category_id=category)
 
     image = render_blob_scene(ad.Tape(), best).values
-    threshold = s.getfloat("oracle_threshold", 0.40)
+    threshold = _get(s, "oracle_threshold", 0.40)
     components = oracle_count_components(image, threshold)
     final_pred = model.predict_count(image, category)
 
@@ -421,7 +386,7 @@ def cmd_ablate(cfg, seed, outdir):
     s = _section(cfg, "ablate", required=True)
     if _section(cfg, "model").get("init_checkpoint"):
         raise ConfigError("[model] init_checkpoint is read by train only; ablate trains from scratch")
-    variants = _values(s, "variants", str, ABLATION_VARIANTS)
+    variants = _get(s, "variants", ABLATION_VARIANTS)
 
     strong_data = StageData(
         _read_corpus_at(s, "strong_train_corpus"), _read_corpus_at(s, "strong_val_corpus")
@@ -438,13 +403,12 @@ def cmd_ablate(cfg, seed, outdir):
     )
     eval_corpus = _read_corpus_at(s, "eval_corpus")
 
-    weights = _loss_weights(cfg)
-    strong_cfg = _train_config(cfg, "strong-train", "strong", weights, seed)
-    weak_cfg = _train_config(cfg, "weak-train", "weak", weights, seed)
+    weights = _read(cfg, "loss", LossWeights)
+    strong_cfg = _read(cfg, "strong-train", TrainConfig, stage="strong", weights=weights, seed=seed)
+    weak_cfg = _read(cfg, "weak-train", TrainConfig, stage="weak", weights=weights, seed=seed)
 
-    rows = run_ablation(
-        variants, _model_config(cfg), strong_data, weak_data, eval_corpus, strong_cfg, weak_cfg
-    )
+    model_cfg = _read(cfg, "model", ModelConfig)
+    rows = run_ablation(variants, model_cfg, strong_data, weak_data, eval_corpus, strong_cfg, weak_cfg)
     table_path = os.path.join(outdir, "ablation.csv")
     _write_csv(
         table_path,

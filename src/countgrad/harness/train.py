@@ -26,7 +26,6 @@ from ..losses import (
 )
 from ..model import IMAGES_PER_FORWARD, CountModel, count_above
 from ..targets import (
-    GRID_FACTOR,
     default_sigma,
     gaussian_density,
     grid_cardinality,
@@ -162,7 +161,7 @@ class _WeakExample:
     count: int
 
 
-def _prepare_strong(corpus: Corpus, cfg: TrainConfig, factor: int) -> list[_StrongExample]:
+def _prepare_strong(corpus: Corpus, cfg: TrainConfig) -> list[_StrongExample]:
     out = []
     for sample in corpus.samples():
         scene = sample.scene
@@ -171,19 +170,19 @@ def _prepare_strong(corpus: Corpus, cfg: TrainConfig, factor: int) -> list[_Stro
         masks = scene.masks(sample.category_id)
         shape = scene.shape
         if cfg.target == "cardinality":
-            grid = grid_cardinality(pixel_cardinality(masks, shape), factor).grid
+            grid = grid_cardinality(pixel_cardinality(masks, shape)).grid
         else:
             sigma = cfg.sigma if cfg.sigma is not None else default_sigma(masks)
-            grid = gaussian_density(sample.points.positive, sigma, shape, factor).grid
-        cls = strong_class_grid(masks, shape, factor).grid
+            grid = gaussian_density(sample.points.positive, sigma, shape).grid
+        cls = strong_class_grid(masks, shape).grid
         out.append(_StrongExample(scene.image, sample.category_id, grid, cls))
     return out
 
 
-def _prepare_weak(corpus: Corpus, factor: int) -> list[_WeakExample]:
+def _prepare_weak(corpus: Corpus) -> list[_WeakExample]:
     out = []
     for sample in corpus.samples():
-        wg = weak_label_grids(sample.points, sample.scene.shape, factor)
+        wg = weak_label_grids(sample.points, sample.scene.shape)
         out.append(_WeakExample(sample.scene.image, sample.category_id, wg, wg.count))
     return out
 
@@ -261,15 +260,12 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
     w = config.weights
 
     if config.stage == "strong":
-        strong_pool = _prepare_strong(data.train, config, GRID_FACTOR)
+        strong_pool = _prepare_strong(data.train, config)
         weak_pool: list[_WeakExample] = []
     else:
-        weak_pool = _prepare_weak(data.train, GRID_FACTOR)
-        strong_pool = (
-            _prepare_strong(data.strong_mix, config, GRID_FACTOR)
-            if data.strong_mix is not None
-            else []
-        )
+        weak_pool = _prepare_weak(data.train)
+        mix = data.strong_mix
+        strong_pool = _prepare_strong(mix, config) if mix is not None else []
 
     lr_map = {}
     for name in model.param_groups()["trunk"]:

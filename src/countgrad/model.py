@@ -161,6 +161,8 @@ class CountModel:
         for name, shape in shapes.items():
             if weights[name].shape != shape:
                 raise ValueError(f"{name} has shape {weights[name].shape}, expected {shape}")
+            if not np.isfinite(weights[name]).all():
+                raise ValueError(f"{name} has non-finite values")
         self.config = config
         self.weights = weights
 
@@ -294,6 +296,8 @@ class CountModel:
         image's single-image forward (the tests hold them equal bit for
         bit). An (n, n) image gives (grid, grid) grids.
         """
+        if not np.isfinite(image).all():
+            raise ValueError("image values must be finite")
         if np.ndim(image) != 3:
             out = self.forward_on_tape(ad.Tape(), image, category_id)
             return out.y_cnt, out.y_cls
@@ -337,7 +341,7 @@ class CountModel:
         non-overlapping tiles, and per-tile counts are summed. The tiles
         run as one stack through ``forward``.
         """
-        tile = tile_size or self.config.input_size
+        tile = self.config.input_size if tile_size is None else tile_size
         if tile != self.config.input_size:
             raise ValueError("tile size must equal the model input size")
         arr = np.asarray(image, dtype=np.float64)

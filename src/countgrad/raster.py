@@ -80,6 +80,8 @@ class Scene:
         img = self.image
         if img.ndim != 2 or img.dtype != np.float64:
             raise ValueError("image must be a 2-d float64 array")
+        if not np.isfinite(img).all():
+            raise ValueError("image values must be finite")
         if img.min() < 0.0 or img.max() > 1.0:
             raise ValueError("image values must lie in [0, 1]")
         for inst in self.instances:

@@ -4,14 +4,17 @@ import re
 import shutil
 import subprocess
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from countgrad.cli import _SECTION_KEYS, main
-from countgrad.datagen import corpora_equal, read_corpus
-from countgrad.model import CountModel, load_checkpoint
+from countgrad.cli import _SECTION_KEYS, _load_config, _read, main
+from countgrad.datagen import SceneSpec, corpora_equal, read_corpus
+from countgrad.harness import TrainConfig
+from countgrad.losses import LossWeights
+from countgrad.model import CountModel, ModelConfig, load_checkpoint
 
 TINY_SCENE = """
     [scene]
@@ -87,6 +90,109 @@ class TestGenData:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["gen-data", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_zero_scenes_rejected_before_writing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "g0.ini", TINY_SCENE + "\n[corpus]\nn = 0\n")
+        out = tmp_path / "o"
+        assert main(["gen-data", cfg, "--out", str(out)]) == 1
+        assert "[corpus] n must be at least 1" in capsys.readouterr().err
+        assert not (out / "corpus.bin").exists()
+
+
+TRAINING = """
+    lr_heads = 2e-3
+    lr_trunk = 3e-4
+    epochs = 3
+    batch_size = 8
+    patience = 2
+    seed = 4
+    target = density
+    sigma = 1.5
+    adam_eps = 1e-7
+"""
+WEIGHTS = LossWeights(alpha1=0.5, beta1=0.2, alpha2=0.7, beta2=0.3, gamma=0.1)
+TRAINED = dict(
+    lr_heads=2e-3, lr_trunk=3e-4, epochs=3, batch_size=8, patience=2, seed=4,
+    target="density", sigma=1.5, adam_eps=1e-7,
+)
+# Keys a command reads itself rather than into the section's dataclass.
+COMMAND_KEYS = {"init_checkpoint", "stage", "train_corpus", "val_corpus", "strong_mix_corpus"}
+
+
+class TestTypedSections:
+    @pytest.mark.parametrize(
+        "section, text, cls, fixed, expected",
+        [
+            ("scene", """
+    image_size = 32
+    shape_kinds = square, disk
+    count_min = 2
+    count_max = 9
+    radius_min = 1.5
+    radius_max = 3.25
+    min_separation = 0.7
+    background = 0.2
+    intensity_min = 0.6
+    intensity_max = 0.95
+    noise_amplitude = 0.03
+    n_negative_points = 7
+    distractor_min = 1
+    distractor_max = 3
+    seed = 5
+    """, SceneSpec, {}, SceneSpec(
+                image_size=32, shape_kinds=("square", "disk"), count_range=(2, 9),
+                radius_range=(1.5, 3.25), min_separation=0.7, background=0.2,
+                intensity_range=(0.6, 0.95), noise_amplitude=0.03, n_negative_points=7,
+                distractor_range=(1, 3), seed=5,
+            )),
+            ("model", """
+    input_size = 32
+    channels = 4, 5,6
+    fused_channels = 7
+    embed_dim = 3
+    num_categories = 3
+    seed = 9
+    """, ModelConfig, {}, ModelConfig(
+                input_size=32, channels=(4, 5, 6), fused_channels=7, embed_dim=3,
+                num_categories=3, seed=9,
+            )),
+            ("loss", """
+    alpha1 = 0.5
+    beta1 = 0.2
+    alpha2 = 0.7
+    beta2 = 0.3
+    gamma = 0.1
+    """, LossWeights, {}, WEIGHTS),
+            ("train", TRAINING, TrainConfig, {"stage": "weak", "weights": WEIGHTS},
+             TrainConfig(stage="weak", weights=WEIGHTS, **TRAINED)),
+            ("strong-train", TRAINING, TrainConfig, {"stage": "strong", "weights": WEIGHTS},
+             TrainConfig(stage="strong", weights=WEIGHTS, **TRAINED)),
+            ("weak-train", TRAINING, TrainConfig, {"stage": "weak", "weights": WEIGHTS},
+             TrainConfig(stage="weak", weights=WEIGHTS, **TRAINED)),
+        ],
+        ids=["scene", "model", "loss", "train", "strong-train", "weak-train"],
+    )
+    def test_every_key_reads_into_its_field(self, tmp_path, section, text, cls, fixed, expected):
+        cfg = _load_config(write_config(tmp_path, "all.ini", f"[{section}]" + text))
+        assert set(cfg[section]) == _SECTION_KEYS[section] - COMMAND_KEYS
+        assert expected != cls(**fixed)  # every value differs from its default
+        assert _read(cfg, section, cls, **fixed) == expected
+        if "seed" in _SECTION_KEYS[section]:
+            assert _read(cfg, section, cls, **fixed, seed=11) == replace(expected, seed=11)
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("train", "[train]\nepochs = 2.5\n", "error: [train] epochs: invalid literal for int()"),
+            ("gen-data", "[scene]\ncount_max = many\n", "error: [scene] count_max: invalid literal"),
+            ("gen-data", "[corpus]\nn = 1e3\n", "error: [corpus] n: invalid literal for int()"),
+        ],
+        ids=["derived", "derived-range", "not-derived"],
+    )
+    def test_ill_typed_value_names_section_and_key(self, tmp_path, capsys, command, text, message):
+        cfg = write_config(tmp_path, "bad.ini", text)
+        assert main([command, cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(message)
 
 
 def readme_config_sections():

@@ -292,8 +292,8 @@ class TestTrainStage:
         # one tape over a mixed group must give the per-example gradients' sum
         data = tiny_data(n_train=12)
         cfg = TrainConfig(stage="weak", weights=weights)
-        strong = train_mod._prepare_strong(data.train, cfg, 8)
-        weak = train_mod._prepare_weak(data.train, 8)
+        strong = train_mod._prepare_strong(data.train, cfg)
+        weak = train_mod._prepare_weak(data.train)
         by_cat = {c: [i for i, ex in enumerate(strong) if ex.category_id == c] for c in (0, 1)}
         assert by_cat[0] and by_cat[1], "need both categories"
         unlabelled = replace(

@@ -49,6 +49,16 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward(np.zeros((64, 64)), 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        model = CountModel.create(SMALL)
+        image = np.full((16, 16), 0.5)
+        image[5, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            model.predict_count(image, 0)
+        with pytest.raises(ValueError, match="finite"):
+            model.forward(np.stack([np.zeros((16, 16)), image]), 1)
+
     def test_category_conditioning_changes_output(self):
         model = CountModel.create()
         rng = np.random.default_rng(2)
@@ -293,6 +303,8 @@ class TestCounts:
         model = CountModel.create()
         with pytest.raises(ValueError):
             model.tiled_count(np.zeros((128, 128)), 0, tile_size=32)
+        with pytest.raises(ValueError):
+            model.tiled_count(np.zeros((128, 128)), 0, tile_size=0)
 
 
 def rewrite_config_echo(path, edit):
@@ -359,6 +371,15 @@ class TestCheckpoint:
         save_checkpoint(CountModel.create(SMALL), path)
         rewrite_config_echo(path, edit)
         with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        # a well-formed file whose weights hold a NaN must not load
+        model = CountModel.create(SMALL)
+        model.weights["stage2_k"][1, 1, 0, 0] = np.nan
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(ValueError, match="stage2_k has non-finite values"):
             load_checkpoint(path)
 
     def test_bad_magic_reports_position(self, tmp_path):

@@ -126,6 +126,14 @@ class TestRenderScene:
         assert scene.count() == 0
         np.testing.assert_array_equal(scene.image, np.full((8, 8), 0.1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_rejected(self, bad):
+        # NaN fails neither side of the [0, 1] range comparison
+        image = np.full((8, 8), 0.5)
+        image[2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Scene(image, (), 0.1)
+
 
 class TestDownscaleAndPad:
     def make_scene(self, seed=0, n=4):
