@@ -73,7 +73,6 @@ class Tape:
     def __init__(self):
         self._parents: list[tuple[int, ...]] = []
         self._vjps: list = []  # callable(g) -> tuple of parent grads, or None for leaves
-        self._shapes: list[tuple[int, ...]] = []
 
     def __len__(self) -> int:
         return len(self._parents)
@@ -82,7 +81,6 @@ class Tape:
         nid = len(self._parents)
         self._parents.append(parents)
         self._vjps.append(vjp)
-        self._shapes.append(values.shape)
         return DiffArray(self, nid, values)
 
 
@@ -173,16 +171,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def new_param(tape: Tape, values, shape=None) -> DiffArray:
+def new_param(tape: Tape, values) -> DiffArray:
     """Register a leaf node that participates in gradient accumulation."""
     arr = np.asarray(values, dtype=np.float64)
-    if shape is not None:
-        shape = tuple(shape)
-        if arr.size != math.prod(shape):
-            raise ValueError(
-                f"values of size {arr.size} do not fill shape {shape}"
-            )
-        arr = arr.reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise ValueError("parameter values must be finite")
     return tape._record(arr.copy(), (), None)
@@ -543,7 +534,7 @@ class Gradients:
             )
         g = self._grads[x.node_id]
         if g is None:
-            return np.zeros(self._tape._shapes[x.node_id])
+            return np.zeros(x.shape)
         return g
 
 

@@ -13,7 +13,7 @@ import configparser
 import csv
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -67,10 +67,8 @@ _SECTION_KEYS = {
     "eval": {"checkpoint", "corpus", "kappa", "tile_size"},
     "size-bias": {"checkpoints", "corpus", "ratios", "by_size_class"},
     "threshold-sweep": {"checkpoint", "corpus", "kappas"},
-    "guide": {
-        "checkpoint", "q_req", "category", "n_slots", "n_on", "max_steps",
-        "step_size", "plateau_patience", "oracle_threshold", "seed",
-    },
+    "guide": _keys(GuidanceConfig)
+    | {"checkpoint", "category", "n_slots", "n_on", "oracle_threshold", "seed"},
     "ablate": {
         "variants", "strong_train_corpus", "strong_val_corpus",
         "weak_train_corpus", "weak_val_corpus", "strong_mix_corpus",
@@ -86,6 +84,9 @@ def _load_config(path) -> configparser.ConfigParser:
     read = cfg.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    # configparser would copy these keys into every section, unchecked
+    if cfg.defaults():
+        raise ConfigError(f"keys under [DEFAULT] are not accepted: {sorted(cfg.defaults())}")
     for section in cfg.sections():
         allowed = _SECTION_KEYS.get(section)
         if allowed is None:
@@ -225,11 +226,7 @@ def cmd_train(cfg, seed, outdir):
     ckpt_path = os.path.join(outdir, "model.ckpt")
     save_checkpoint(model, ckpt_path)
     log_path = os.path.join(outdir, "train_log.csv")
-    _write_csv(
-        log_path,
-        ["epoch", "loss_cnt", "loss_cls", "val_mae", "val_rmse", "n_strong", "n_weak"],
-        [[r[k] for k in ("epoch", "loss_cnt", "loss_cls", "val_mae", "val_rmse", "n_strong", "n_weak")] for r in log],
-    )
+    _write_csv(log_path, list(log[0]), [list(r.values()) for r in log])
     best = min(r["val_mae"] for r in log)
     summary_path = os.path.join(outdir, "summary.txt")
     _write_summary(
@@ -335,15 +332,9 @@ def cmd_threshold_sweep(cfg, seed, outdir):
 
 def cmd_guide(cfg, seed, outdir):
     s = _section(cfg, "guide", required=True)
-    model = load_checkpoint(_require(s, "checkpoint"))
     q_req = _require(s, "q_req", 0.0)
-    d = GuidanceConfig(q_req)
-    gcfg = replace(
-        d,
-        max_steps=_get(s, "max_steps", d.max_steps),
-        step_size=_get(s, "step_size", d.step_size),
-        plateau_patience=_get(s, "plateau_patience", d.plateau_patience),
-    )
+    gcfg = _read(cfg, "guide", GuidanceConfig, q_req=q_req)
+    model = load_checkpoint(_require(s, "checkpoint"))
     rng_seed = seed if seed is not None else _get(s, "seed", 0)
     rng = np.random.default_rng(rng_seed)
     # Default start: two blobs short of the request. The counter's

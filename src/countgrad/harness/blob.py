@@ -51,6 +51,15 @@ _INTENSITY_SPAN = 0.35
 # decision band so a flip costs a fraction of that travel while on/off
 # slots still render fully opaque/invisible.
 PRESENCE_TEMP = 0.04
+# Latents guidance moves. Counts change by switching blobs on or off and
+# nudging them around, so only presence and centers are steered;
+# appearance latents (radius, intensity) stay frozen. Letting the
+# optimizer restyle existing blobs opens a shortcut where the predicted
+# count reaches the request while the number of visible blobs never
+# changes.
+STEERED = ("presence", "center_row", "center_col")
+# Smallest loss improvement that resets guidance's plateau patience.
+PLATEAU_DELTA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -92,15 +101,7 @@ class GuidanceConfig:
     q_req: float
     max_steps: int = 150
     step_size: float = 5e-3
-    plateau_patience: int = 20  # steps without improvement > plateau_delta
-    plateau_delta: float = 1e-3
-    # Latents the optimizer is allowed to move. Counts change by switching
-    # blobs on or off and nudging them around, so only presence and centers
-    # are steered by default; appearance latents (radius, intensity) stay
-    # frozen. Letting the optimizer restyle existing blobs opens a shortcut
-    # where the predicted count reaches the request while the number of
-    # visible blobs never changes.
-    optimize: tuple[str, ...] = ("presence", "center_row", "center_col")
+    plateau_patience: int = 20  # steps without improvement > PLATEAU_DELTA
 
     def __post_init__(self):
         if self.q_req < 0:
@@ -109,9 +110,6 @@ class GuidanceConfig:
             raise ValueError("step budgets must be >= 1")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        allowed = {"presence", "center_row", "center_col", "radius_raw", "intensity_raw"}
-        if not self.optimize or not set(self.optimize) <= allowed:
-            raise ValueError(f"optimize must be a non-empty subset of {sorted(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -224,15 +222,14 @@ def guide_optimize(
     """Drive the blob latents toward the requested count through a frozen model.
 
     The model enters every forward as constants, so its weights cannot
-    change. Descends guidance loss with Adam over the latents named in
-    ``gcfg.optimize``; the rest keep their initial values. Stops at the
-    step budget or once the best loss has not improved by more than
-    plateau_delta for plateau_patience consecutive steps. Returns the
-    best-loss parameters and the full (step, loss, predicted count)
-    trajectory.
+    change. Descends guidance loss with Adam over the ``STEERED`` latents;
+    the rest keep their initial values. Stops at the step budget or once
+    the best loss has not improved by more than ``PLATEAU_DELTA`` for
+    plateau_patience consecutive steps. Returns the best-loss parameters
+    and the full (step, loss, predicted count) trajectory.
     """
     values = {k: v.copy() for k, v in params.as_dict().items()}
-    opt = Adam({k: gcfg.step_size for k in gcfg.optimize})
+    opt = Adam({k: gcfg.step_size for k in STEERED})
     trajectory: list[GuidanceRecord] = []
     best_loss = math.inf
     best_values = {k: v.copy() for k, v in values.items()}
@@ -241,7 +238,7 @@ def guide_optimize(
     for step in range(gcfg.max_steps):
         tape = ad.Tape()
         # Frozen latents stay plain arrays, so their chains fold to constants.
-        nodes = {k: ad.new_param(tape, values[k]) for k in gcfg.optimize}
+        nodes = {k: ad.new_param(tape, values[k]) for k in STEERED}
         image = render_blob_scene(tape, params, {**values, **nodes})
         fp = model.forward_on_tape(tape, image, category_id, trainable=False)
         count = float(fp.y_cnt.values.sum())
@@ -251,8 +248,8 @@ def guide_optimize(
             raise TrainingDivergence(f"guidance loss became non-finite at step {step}")
         trajectory.append(GuidanceRecord(step, loss_v, count))
 
-        # Any improvement is kept; only one larger than plateau_delta resets patience.
-        stale = 0 if loss_v < best_loss - gcfg.plateau_delta else stale + 1
+        # Any improvement is kept; only one larger than PLATEAU_DELTA resets patience.
+        stale = 0 if loss_v < best_loss - PLATEAU_DELTA else stale + 1
         if loss_v < best_loss:
             best_loss = loss_v
             best_values = {k: v.copy() for k, v in values.items()}
@@ -260,6 +257,6 @@ def guide_optimize(
             break
 
         grads = ad.backward(tape, loss)
-        opt.step(values, {k: grads.wrt(nodes[k]) for k in gcfg.optimize})
+        opt.step(values, {k: grads.wrt(nodes[k]) for k in STEERED})
 
     return params.with_values(best_values), trajectory

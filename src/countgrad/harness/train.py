@@ -146,22 +146,21 @@ def evaluate(
 
 
 @dataclass
-class _StrongExample:
+class _Example:
+    """One training image with its stage's targets.
+
+    Strong: ``count`` is the dense count grid and ``cls`` the bool class grid.
+    Weak: ``count`` is the scalar count and ``cls`` the point-derived label grids.
+    """
+
     image: np.ndarray
     category_id: int
-    count_target: np.ndarray  # dense grid
-    cls_target: np.ndarray  # bool grid
+    strong: bool
+    count: object
+    cls: object
 
 
-@dataclass
-class _WeakExample:
-    image: np.ndarray
-    category_id: int
-    weak_grids: object
-    count: int
-
-
-def _prepare_strong(corpus: Corpus, cfg: TrainConfig) -> list[_StrongExample]:
+def _prepare_strong(corpus: Corpus, cfg: TrainConfig) -> list[_Example]:
     out = []
     for sample in corpus.samples():
         scene = sample.scene
@@ -175,15 +174,15 @@ def _prepare_strong(corpus: Corpus, cfg: TrainConfig) -> list[_StrongExample]:
             sigma = cfg.sigma if cfg.sigma is not None else default_sigma(masks)
             grid = gaussian_density(sample.points.positive, sigma, shape).grid
         cls = strong_class_grid(masks, shape).grid
-        out.append(_StrongExample(scene.image, sample.category_id, grid, cls))
+        out.append(_Example(scene.image, sample.category_id, True, grid, cls))
     return out
 
 
-def _prepare_weak(corpus: Corpus) -> list[_WeakExample]:
+def _prepare_weak(corpus: Corpus) -> list[_Example]:
     out = []
     for sample in corpus.samples():
         wg = weak_label_grids(sample.points, sample.scene.shape)
-        out.append(_WeakExample(sample.scene.image, sample.category_id, wg, wg.count))
+        out.append(_Example(sample.scene.image, sample.category_id, False, wg.count, wg))
     return out
 
 
@@ -197,7 +196,7 @@ def _rows(y: ad.DiffArray, idx: list[int], n_rows: int) -> ad.DiffArray:
 
 
 def _accumulate(model, group, w: LossWeights, grad_sums, where):
-    """Forward/backward one group of (is_strong, example) items on a single tape.
+    """Forward/backward one group of examples on a single tape.
 
     Strong and weak items share the forward; each loss term covers only its
     own rows, and a term with zero weight or no rows is left out. Adds the
@@ -205,26 +204,24 @@ def _accumulate(model, group, w: LossWeights, grad_sums, where):
     classification loss sums over the group.
     """
     tape = ad.Tape()
-    images = np.stack([ex.image for _, ex in group])
-    fp = model.forward_on_tape(
-        tape, images, [ex.category_id for _, ex in group], trainable=True
-    )
+    images = np.stack([ex.image for ex in group])
+    fp = model.forward_on_tape(tape, images, [ex.category_id for ex in group], trainable=True)
     n = len(group)
-    strong = [i for i, (is_strong, _) in enumerate(group) if is_strong]
-    weak = [i for i, (is_strong, _) in enumerate(group) if not is_strong]
-    labelled = [i for i in weak if group[i][1].weak_grids.annotated.any()]
+    strong = [i for i, ex in enumerate(group) if ex.strong]
+    weak = [i for i, ex in enumerate(group) if not ex.strong]
+    labelled = [i for i in weak if group[i].cls.annotated.any()]
     cnt_terms, cls_terms = [], []  # (weight, loss node)
     if strong and w.alpha1 > 0:
-        target = np.stack([group[i][1].count_target for i in strong])
+        target = np.stack([group[i].count for i in strong])
         cnt_terms.append((w.alpha1, strong_count_loss(_rows(fp.y_cnt, strong, n), target)))
     if strong and w.beta1 > 0:
-        target = np.stack([group[i][1].cls_target for i in strong])
+        target = np.stack([group[i].cls for i in strong])
         cls_terms.append((w.beta1, strong_cls_loss(_rows(fp.y_cls, strong, n), target)))
     if weak and w.alpha2 > 0:
-        counts = np.asarray([group[i][1].count for i in weak], dtype=np.float64)
+        counts = np.asarray([group[i].count for i in weak], dtype=np.float64)
         cnt_terms.append((w.alpha2, weak_count_loss(_rows(fp.y_cnt, weak, n), counts)))
     if labelled and w.beta2 > 0:
-        grids = [group[i][1].weak_grids for i in labelled]
+        grids = [group[i].cls for i in labelled]
         cls_terms.append((w.beta2, weak_cls_loss(_rows(fp.y_cls, labelled, n), grids)))
     if not cnt_terms and not cls_terms:
         return 0.0, 0.0
@@ -260,19 +257,18 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
     w = config.weights
 
     if config.stage == "strong":
-        strong_pool = _prepare_strong(data.train, config)
-        weak_pool: list[_WeakExample] = []
+        pool, replays = _prepare_strong(data.train, config), []
     else:
-        weak_pool = _prepare_weak(data.train)
+        pool = _prepare_weak(data.train)
         mix = data.strong_mix
-        strong_pool = _prepare_strong(mix, config) if mix is not None else []
+        replays = _prepare_strong(mix, config) if mix is not None else []
+    n_replay = round(w.gamma * config.batch_size) if replays else 0
 
-    lr_map = {}
-    for name in model.param_groups()["trunk"]:
-        lr_map[name] = config.lr_trunk
-    for name in model.param_groups()["heads"]:
-        lr_map[name] = config.lr_heads
-    opt = Adam(lr_map, eps=config.adam_eps)
+    rates = {"trunk": config.lr_trunk, "heads": config.lr_heads}
+    opt = Adam(
+        {name: rates[g] for g, names in model.param_groups().items() for name in names},
+        eps=config.adam_eps,
+    )
 
     best_mae = math.inf
     best_weights = {k: v.copy() for k, v in model.weights.items()}
@@ -281,29 +277,15 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
     mix_pos = 0
 
     for epoch in range(config.epochs):
-        if config.stage == "strong":
-            order = rng.permutation(len(strong_pool))
-            batches = [
-                [(True, strong_pool[i]) for i in order[b : b + config.batch_size]]
-                for b in range(0, len(order), config.batch_size)
-            ]
-        else:
-            order = rng.permutation(len(weak_pool))
-            n_strong = round(w.gamma * config.batch_size) if strong_pool else 0
-            batches = []
-            for b in range(0, len(order), config.batch_size):
-                weak_part = [(False, weak_pool[i]) for i in order[b : b + config.batch_size]]
-                strong_part = []
-                for _ in range(min(n_strong, len(weak_part))):
-                    strong_part.append((True, strong_pool[mix_pos % len(strong_pool)]))
-                    mix_pos += 1
-                # strong samples replace weak ones, keeping batch size fixed
-                batches.append(strong_part + weak_part[len(strong_part) :])
-
+        order = rng.permutation(len(pool))
         cnt_total = cls_total = 0.0
-        n_strong_seen = n_weak_seen = 0
-        n_images = 0
-        for bi, batch in enumerate(batches):
+        n_strong_seen = n_images = 0
+        for bi, b0 in enumerate(range(0, len(order), config.batch_size)):
+            part = [pool[i] for i in order[b0 : b0 + config.batch_size]]
+            n_rep = min(n_replay, len(part))
+            # replays take the first places, keeping the batch size fixed
+            batch = [replays[(mix_pos + j) % len(replays)] for j in range(n_rep)] + part[n_rep:]
+            mix_pos += n_rep
             grad_sums = {k: np.zeros_like(v) for k, v in model.weights.items()}
             where = f"epoch {epoch}, batch {bi}"
             for g0 in range(0, len(batch), IMAGES_PER_FORWARD):
@@ -316,8 +298,7 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
             for name, arr in model.weights.items():
                 if not np.all(np.isfinite(arr)):
                     raise TrainingDivergence(f"non-finite weight {name} after {where}")
-            n_strong_seen += sum(is_strong for is_strong, _ in batch)
-            n_weak_seen += sum(not is_strong for is_strong, _ in batch)
+            n_strong_seen += sum(ex.strong for ex in batch)
             n_images += n
 
         val = evaluate(model, data.val)
@@ -329,7 +310,7 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
                 "val_mae": val.mae,
                 "val_rmse": val.rmse,
                 "n_strong": n_strong_seen,
-                "n_weak": n_weak_seen,
+                "n_weak": n_images - n_strong_seen,
             }
         )
         if val.mae < best_mae:

@@ -617,13 +617,6 @@ class TestTapeMechanics:
         with pytest.raises(ValueError):
             ad.new_param(tape, np.array([1.0, np.nan]))
 
-    def test_new_param_shape_argument(self):
-        tape = ad.Tape()
-        x = ad.new_param(tape, np.arange(6.0), shape=(2, 3))
-        assert x.shape == (2, 3)
-        with pytest.raises(ValueError):
-            ad.new_param(tape, np.arange(5.0), shape=(2, 3))
-
     def test_values_are_float64(self):
         tape = ad.Tape()
         x = ad.new_param(tape, np.array([1, 2], dtype=np.int32))

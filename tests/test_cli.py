@@ -12,7 +12,7 @@ import pytest
 
 from countgrad.cli import _SECTION_KEYS, _load_config, _read, main
 from countgrad.datagen import SceneSpec, corpora_equal, read_corpus
-from countgrad.harness import TrainConfig
+from countgrad.harness import GuidanceConfig, TrainConfig
 from countgrad.losses import LossWeights
 from countgrad.model import CountModel, ModelConfig, load_checkpoint
 
@@ -87,6 +87,18 @@ class TestGenData:
         assert main(["gen-data", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "unknown config section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[DEFAULT]\nimage_size = 16\nepochs = 3\n", "[DEFAULT]\nimage_size = 16\n[corpus]\nn = 2\n"],
+        ids=["alone", "with-section"],
+    )
+    def test_default_section_keys_rejected(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, "d.ini", text)
+        out = tmp_path / "o"
+        assert main(["gen-data", cfg, "--out", str(out)]) == 1
+        assert "keys under [DEFAULT] are not accepted: " in capsys.readouterr().err
+        assert not (out / "corpus.bin").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["gen-data", str(tmp_path / "nope.ini"), "--out", str(tmp_path)]) == 1
         assert "cannot read" in capsys.readouterr().err
@@ -116,7 +128,11 @@ TRAINED = dict(
     target="density", sigma=1.5, adam_eps=1e-7,
 )
 # Keys a command reads itself rather than into the section's dataclass.
-COMMAND_KEYS = {"init_checkpoint", "stage", "train_corpus", "val_corpus", "strong_mix_corpus"}
+COMMAND_KEYS = {
+    "model": {"init_checkpoint"},
+    "train": {"stage", "train_corpus", "val_corpus", "strong_mix_corpus"},
+    "guide": {"checkpoint", "category", "n_slots", "n_on", "oracle_threshold", "seed"},
+}
 
 
 class TestTypedSections:
@@ -169,15 +185,23 @@ class TestTypedSections:
              TrainConfig(stage="strong", weights=WEIGHTS, **TRAINED)),
             ("weak-train", TRAINING, TrainConfig, {"stage": "weak", "weights": WEIGHTS},
              TrainConfig(stage="weak", weights=WEIGHTS, **TRAINED)),
+            ("guide", """
+    q_req = 7.5
+    max_steps = 40
+    step_size = 0.01
+    plateau_patience = 6
+    """, GuidanceConfig, {"q_req": 7.5}, GuidanceConfig(
+                q_req=7.5, max_steps=40, step_size=0.01, plateau_patience=6,
+            )),
         ],
-        ids=["scene", "model", "loss", "train", "strong-train", "weak-train"],
+        ids=["scene", "model", "loss", "train", "strong-train", "weak-train", "guide"],
     )
     def test_every_key_reads_into_its_field(self, tmp_path, section, text, cls, fixed, expected):
         cfg = _load_config(write_config(tmp_path, "all.ini", f"[{section}]" + text))
-        assert set(cfg[section]) == _SECTION_KEYS[section] - COMMAND_KEYS
+        assert set(cfg[section]) == _SECTION_KEYS[section] - COMMAND_KEYS.get(section, set())
         assert expected != cls(**fixed)  # every value differs from its default
         assert _read(cfg, section, cls, **fixed) == expected
-        if "seed" in _SECTION_KEYS[section]:
+        if hasattr(expected, "seed"):
             assert _read(cfg, section, cls, **fixed, seed=11) == replace(expected, seed=11)
 
     @pytest.mark.parametrize(
@@ -186,8 +210,10 @@ class TestTypedSections:
             ("train", "[train]\nepochs = 2.5\n", "error: [train] epochs: invalid literal for int()"),
             ("gen-data", "[scene]\ncount_max = many\n", "error: [scene] count_max: invalid literal"),
             ("gen-data", "[corpus]\nn = 1e3\n", "error: [corpus] n: invalid literal for int()"),
+            ("guide", "[guide]\nq_req = 3\nmax_steps = 2.5\n",
+             "error: [guide] max_steps: invalid literal for int()"),
         ],
-        ids=["derived", "derived-range", "not-derived"],
+        ids=["derived", "derived-range", "not-derived", "guide"],
     )
     def test_ill_typed_value_names_section_and_key(self, tmp_path, capsys, command, text, message):
         cfg = write_config(tmp_path, "bad.ini", text)

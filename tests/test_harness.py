@@ -238,6 +238,16 @@ class TestTrainStage:
         assert log[0]["n_strong"] == 3
         assert log[0]["n_weak"] == 9
 
+    def test_replays_capped_by_short_trailing_batch(self):
+        data = tiny_data(n_train=10)
+        mixed = StageData(data.train, data.val, strong_mix=data.train)
+        weights = LossWeights(gamma=0.75)
+        cfg = TrainConfig(stage="weak", weights=weights, epochs=2, batch_size=4, seed=0)
+        _, log = train_stage(CountModel.create(TINY_MODEL), mixed, cfg)
+        # batches of 4, 4 and 2 take round(0.75*4)=3, 3 and (capped) 2 replays
+        assert len(log) == 2
+        assert all(rec["n_strong"] == 8 and rec["n_weak"] == 2 for rec in log)
+
     def test_weak_stage_needs_strong_mix_when_gamma_positive(self):
         data = tiny_data()
         cfg = TrainConfig(stage="weak", weights=LossWeights(gamma=0.1), epochs=1)
@@ -297,16 +307,15 @@ class TestTrainStage:
         by_cat = {c: [i for i, ex in enumerate(strong) if ex.category_id == c] for c in (0, 1)}
         assert by_cat[0] and by_cat[1], "need both categories"
         unlabelled = replace(
-            weak[by_cat[0][-1]],
-            weak_grids=WeakGrids(np.zeros((2, 2), bool), np.zeros((2, 2), bool), 3),
+            weak[by_cat[0][-1]], cls=WeakGrids(np.zeros((2, 2), bool), np.zeros((2, 2), bool), 3)
         )
         group = [
-            (True, strong[by_cat[0][0]]),
-            (False, weak[by_cat[1][0]]),
-            (True, strong[by_cat[1][0]]),
-            (False, unlabelled),
-            (False, weak[by_cat[0][1]]),
-            (True, strong[by_cat[0][1]]),
+            strong[by_cat[0][0]],
+            weak[by_cat[1][0]],
+            strong[by_cat[1][0]],
+            unlabelled,
+            weak[by_cat[0][1]],
+            strong[by_cat[0][1]],
         ]
         model = CountModel.create(TINY_MODEL)
 
@@ -436,7 +445,7 @@ def loop_render(tape, params, nodes):
 def loop_guide(model, params, gcfg):
     """Reference guidance loop: all five latents are parameters, slots render one by one."""
     values = {k: v.copy() for k, v in params.as_dict().items()}
-    opt = Adam({k: gcfg.step_size for k in gcfg.optimize})
+    opt = Adam({k: gcfg.step_size for k in blob.STEERED})
     trajectory, best_loss, best_values, stale = [], np.inf, dict(values), 0
     for step in range(gcfg.max_steps):
         tape = ad.Tape()
@@ -446,7 +455,7 @@ def loop_guide(model, params, gcfg):
         loss = guidance_loss(fp.y_cnt, gcfg.q_req)
         loss_v = float(loss.values)
         trajectory.append((step, loss_v, float(fp.y_cnt.values.sum())))
-        if loss_v < best_loss - gcfg.plateau_delta:
+        if loss_v < best_loss - blob.PLATEAU_DELTA:
             best_loss, best_values, stale = loss_v, dict(values), 0
         else:
             if loss_v < best_loss:
@@ -455,7 +464,7 @@ def loop_guide(model, params, gcfg):
             if stale >= gcfg.plateau_patience:
                 break
         grads = ad.backward(tape, loss)
-        opt.step(values, {k: grads.wrt(nodes[k]) for k in gcfg.optimize})
+        opt.step(values, {k: grads.wrt(nodes[k]) for k in blob.STEERED})
     return best_values, trajectory
 
 
@@ -512,9 +521,7 @@ class TestVectorizedRenderer:
         model = CountModel.create()
         rng = np.random.default_rng(seed)
         params = init_blob_params(rng, n_slots=n_slots, n_on=max(0, min(n_slots, int(q_req) - 2)))
-        gcfg = GuidanceConfig(
-            q_req=q_req, max_steps=max_steps, plateau_patience=patience, plateau_delta=0.05
-        )
+        gcfg = GuidanceConfig(q_req=q_req, max_steps=max_steps, plateau_patience=patience)
         best, traj = guide_optimize(model, params, gcfg)
         ref_best, ref_traj = loop_guide(model, params, gcfg)
         assert [(r.step, r.loss, r.count) for r in traj] == ref_traj
