@@ -23,6 +23,11 @@ A convolution layer is one node: :func:`conv2d` can add a per-channel bias
 and apply the leaky ReLU in place on its GEMM output. The rectifier, there
 and in :func:`leaky_relu`, is the branch-free ``max(x, slope * x)``, and
 its gradient scales by ``slope`` or 1 through the node's one bool mask.
+
+The blob renderer's disks are one node too: :func:`soft_disks` sums S
+soft-edged disks, evaluating each only inside a window around its centre
+(beyond it the sigmoid edge is below 1e-18), with a hand-written backward
+rule for centres, radii and heights.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "new_param",
     "add",
     "sub",
-    "neg",
     "mul",
     "scale",
     "matvec",
@@ -56,6 +60,7 @@ __all__ = [
     "clamp",
     "conv2d",
     "upsample_nearest",
+    "soft_disks",
     "reduce_sum",
     "l1_diff",
     "backward",
@@ -113,26 +118,6 @@ class DiffArray:
 
     def __repr__(self) -> str:
         return f"DiffArray(shape={self.shape}, node_id={self.node_id})"
-
-    # Operator sugar; constants on either side stay off the tape.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _values(x) -> np.ndarray:
@@ -234,10 +219,6 @@ def mul(a, b) -> DiffArray:
     return _binary(
         a, b, av * bv, lambda g: _unbroadcast(g * bv, sa), lambda g: _unbroadcast(g * av, sb)
     )
-
-
-def neg(x: DiffArray) -> DiffArray:
-    return _unary(x, -_values(x), lambda g: (-g,))
 
 
 def scale(x: DiffArray, c: float) -> DiffArray:
@@ -481,6 +462,64 @@ def upsample_nearest(x: DiffArray, factor: int = 2) -> DiffArray:
         return (g.reshape(*lead, h, factor, w, factor, c).sum(axis=(-4, -2)),)
 
     return _unary(x, out, vjp)
+
+
+def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray:
+    """(n, n) sum over S soft-edged disks of ``height_s * expit((radius_s - |p - c_s|) / softness)``.
+
+    ``rows``, ``cols``, ``radius`` and ``height`` are (S,) arrays; the
+    centres ``c_s = (rows_s, cols_s)`` must lie in [0, n - 1]. The distance
+    is ``sqrt(d² + 1e-9)``, whose gradient stays finite at the centre.
+    Slot s is evaluated only inside a (2h+1)² window centred on
+    ``rint(c_s)``, with h = min(⌈max(radius) + 42·softness⌉, n − 1): every
+    pixel left out lies more than h from the centre, where the edge term is
+    below expit(-42) ≈ 6e-19, and at h = n − 1 the window covers the whole
+    canvas. The windows sit on a canvas padded by h and are added into it
+    slot by slot, in slot order. One node, with a gradient rule for each
+    of the four operands.
+    """
+    rv, cv, radv, hv = (_values(x) for x in (rows, cols, radius, height))
+    if rv.ndim != 1 or any(v.shape != rv.shape for v in (cv, radv, hv)):
+        raise ValueError(
+            f"soft_disks expects four (S,) operands, got {[v.shape for v in (rv, cv, radv, hv)]}"
+        )
+    if n < 1 or not softness > 0.0:
+        raise ValueError(f"soft_disks needs n >= 1 and softness > 0, got {n}, {softness}")
+    lim = n - 1
+    if not (np.all((rv >= 0.0) & (rv <= lim)) and np.all((cv >= 0.0) & (cv <= lim))):
+        raise ValueError(f"soft_disks centres must lie in [0, {lim}]")
+    h = int(min(np.ceil(radv.max(initial=0.0) + 42.0 * softness), lim))
+    w = 2 * h + 1
+    ri, ci = np.rint(rv).astype(np.intp), np.rint(cv).astype(np.intp)
+    offsets = np.arange(-h, h + 1.0)
+    dr = ((ri[:, None] + offsets) - rv[:, None])[:, :, None]  # (S, w, 1) pixel row - centre
+    dc = ((ci[:, None] + offsets) - cv[:, None])[:, None, :]  # (S, 1, w)
+    dist = np.sqrt(dr * dr + dc * dc + 1e-9)
+    inv = 1.0 / softness
+    edge = expit(inv * (radv[:, None, None] - dist))
+    padded = np.zeros((n + 2 * h, n + 2 * h))
+    for r0, c0, disk in zip(ri, ci, edge * hv[:, None, None]):
+        padded[r0 : r0 + w, c0 : c0 + w] += disk
+    out = padded[h : h + n, h : h + n]
+    tape = _tape_of(rows, cols, radius, height)
+    if tape is None:
+        return out
+
+    def windows(g):
+        """g's window under every slot, the edge's gradient, and that over the distance."""
+        gp = np.zeros(padded.shape)
+        gp[h : h + n, h : h + n] = g
+        gw = np.lib.stride_tricks.sliding_window_view(gp, (w, w))[ri, ci]  # (S, w, w)
+        dz = inv * (gw * hv[:, None, None] * edge * (1.0 - edge))
+        return gw, dz, dz / dist
+
+    rules = (
+        (rows, lambda t: (t[2] * dr).sum(axis=(1, 2))),
+        (cols, lambda t: (t[2] * dc).sum(axis=(1, 2))),
+        (radius, lambda t: t[1].sum(axis=(1, 2))),
+        (height, lambda t: (t[0] * edge).sum(axis=(1, 2))),
+    )
+    return _record_rules(tape, out, rules, pre=windows)
 
 
 def reduce_sum(x: DiffArray, axis=None) -> DiffArray:

@@ -74,10 +74,14 @@ class BlobSceneParams:
     canvas: int = 64
 
     def __post_init__(self):
+        if self.canvas < 1:
+            raise ValueError(f"canvas must be >= 1, got {self.canvas}")
         n = self.presence.shape[0]
-        for name in ("center_row", "center_col", "radius_raw", "intensity_raw"):
-            if getattr(self, name).shape != (n,):
+        for name, values in self.as_dict().items():
+            if values.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},)")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} has non-finite values")
 
     @property
     def n_slots(self) -> int:
@@ -185,32 +189,31 @@ def render_blob_scene(
     Pass ``param_nodes`` (as made by new_param from params.as_dict()) to
     optimize the latents; a frozen latent may be given as its plain array,
     which keeps its chain off the tape. Without ``param_nodes`` fresh
-    leaves are created on the tape. Every slot is drawn at once: (S, 1, 1)
-    latents broadcast against (1, n, 1) rows and (1, 1, n) columns, and
-    the (S, n, n) blobs are summed over slots in order, so the tape holds
-    the same number of nodes whatever the slot count.
+    leaves are created on the tape. The per-slot (S,) chains (opacity,
+    intensity, clamped centers, radius) are ordinary nodes; one
+    ``ad.soft_disks`` node then draws every slot's disk inside a window
+    around its center, where the edge is visible, and adds the slots in
+    order. The render is zero, up to the background, beyond each disk's
+    window, and the tape holds the same number of nodes whatever the slot
+    count.
     """
     n = params.canvas
     if param_nodes is None:
         param_nodes = {k: ad.new_param(tape, v) for k, v in params.as_dict().items()}
     lim = float(n - 1)
-    slots = (params.n_slots, 1, 1)
     opacity = ad.sigmoid(ad.scale(param_nodes["presence"], 1.0 / PRESENCE_TEMP))
-    rows_c = ad.reshape(ad.clamp(param_nodes["center_row"], 0.0, lim), slots)
-    cols_c = ad.reshape(ad.clamp(param_nodes["center_col"], 0.0, lim), slots)
-    radius = ad.reshape(ad.softplus(param_nodes["radius_raw"]), slots)
     intensity = ad.add(
         ad.scale(ad.sigmoid(param_nodes["intensity_raw"]), _INTENSITY_SPAN), _INTENSITY_LO
     )
-
-    grid = np.arange(n, dtype=np.float64)
-    dr = ad.sub(grid[None, :, None], rows_c)  # (S, n, 1)
-    dc = ad.sub(grid[None, None, :], cols_c)  # (S, 1, n)
-    d2 = ad.add(ad.mul(dr, dr), ad.mul(dc, dc))
-    dist = ad.sqrt(ad.add(d2, 1e-9))
-    blob = ad.sigmoid(ad.scale(ad.sub(radius, dist), 1.0 / EDGE_SOFTNESS))
-    height = ad.reshape(ad.mul(opacity, intensity), slots)
-    return ad.add(ad.reduce_sum(ad.mul(blob, height), axis=0), BACKGROUND)
+    disks = ad.soft_disks(
+        ad.clamp(param_nodes["center_row"], 0.0, lim),
+        ad.clamp(param_nodes["center_col"], 0.0, lim),
+        ad.softplus(param_nodes["radius_raw"]),
+        ad.mul(opacity, intensity),
+        n,
+        EDGE_SOFTNESS,
+    )
+    return ad.add(disks, BACKGROUND)
 
 
 def guide_optimize(

@@ -227,6 +227,17 @@ def _primitive_cases():
     # drawn after every other case's data, so those stay as they were
     bias = rng.normal(size=(3,))
     w_block = rng.normal(size=(3, 3, 3, 3))
+    # three disks on 48 px, where their windows (at most 37 px) are smaller than the canvas
+    rows, cols, radius, height = rng.uniform((0, 0, 1, -1), (47, 47, 3, 1), size=(3, 4)).T
+    disks = dict(rows=rows, cols=cols, radius=radius, height=height)
+    w_disks = rng.normal(size=(48, 48))
+
+    def soft_disks_case(wrt):
+        def fn(p):
+            operands = (p if k == wrt else v for k, v in disks.items())
+            return _weighted_sum(ad.soft_disks(*operands, 48, 0.35), w_disks)
+
+        return (f"soft_disks_{wrt}", disks[wrt], fn)
 
     cases = [
         ("add_lhs", a, lambda p: _weighted_sum(ad.add(p, ad.new_param(p.tape, b)), w)),
@@ -235,7 +246,6 @@ def _primitive_cases():
         ("sub_rhs", b, lambda p: _weighted_sum(ad.sub(ad.new_param(p.tape, a), p), w)),
         ("mul_lhs", a, lambda p: _weighted_sum(ad.mul(p, ad.new_param(p.tape, b)), w)),
         ("mul_rhs", b, lambda p: _weighted_sum(ad.mul(ad.new_param(p.tape, a), p), w)),
-        ("neg", a, lambda p: _weighted_sum(ad.neg(p), w)),
         ("scale", a, lambda p: _weighted_sum(ad.scale(p, 1.7), w)),
         ("log", pos, lambda p: _weighted_sum(ad.log(p), w)),
         ("sqrt", pos, lambda p: _weighted_sum(ad.sqrt(p), w)),
@@ -327,6 +337,7 @@ def _primitive_cases():
                 w_block,
             ),
         ),
+        *(soft_disks_case(k) for k in disks),
     ]
     return cases
 

@@ -33,17 +33,6 @@ class TestElementwise:
 
         check(fn, rng.normal(size=(3, 4)))
 
-    def test_operator_overloads_match_functions(self):
-        rng = np.random.default_rng(1)
-        xv = rng.normal(size=(5,))
-        tape = ad.Tape()
-        x = ad.new_param(tape, xv)
-        via_ops = ad.reduce_sum((x + 2.0) * x - (-x))
-        tape2 = ad.Tape()
-        x2 = ad.new_param(tape2, xv)
-        via_fns = ad.reduce_sum(ad.sub(ad.mul(ad.add(x2, 2.0), x2), ad.neg(x2)))
-        np.testing.assert_array_equal(via_ops.values, via_fns.values)
-
     def test_broadcast_gradients(self):
         rng = np.random.default_rng(2)
         row = rng.normal(size=(1, 4))
@@ -65,9 +54,9 @@ class TestElementwise:
         assert grads.wrt(x).shape == (1, 3)
         np.testing.assert_array_equal(grads.wrt(x), np.full((1, 3), 4.0))
 
-    def test_scale_and_neg(self):
+    def test_scale(self):
         rng = np.random.default_rng(3)
-        check(lambda x: ad.reduce_sum(ad.scale(ad.neg(x), 2.5)), rng.normal(size=(6,)))
+        check(lambda x: ad.reduce_sum(ad.scale(x, -2.5)), rng.normal(size=(6,)))
 
     def test_sigmoid(self):
         rng = np.random.default_rng(4)
@@ -460,6 +449,34 @@ class TestFusedConvLayer:
             ad.conv2d(x, k, bias=np.zeros(shape))
 
 
+class TestSoftDisks:
+    # 64 px: the windows (at most 43 px) are smaller than the canvas, and the
+    # first disk's crosses the top edge; 16 px: the half-width is capped at
+    # n - 1, so every window covers the whole canvas
+    SCENES = {
+        64: dict(rows=[2.3, 30.6, 61.2], cols=[40.4, 5.8, 59.9], radius=[3.1, 5.6, 2.2]),
+        16: dict(rows=[1.3, 8.6, 14.2], cols=[12.4, 5.8, 7.1], radius=[2.1, 4.6, 1.2]),
+    }
+
+    @pytest.mark.parametrize("n", [64, 16])
+    @pytest.mark.parametrize("wrt", ["rows", "cols", "radius", "height"])
+    def test_gradients(self, n, wrt):
+        scene = {k: np.array(v) for k, v in self.SCENES[n].items()}
+        scene["height"] = np.array([0.7, -0.4, 1.1])
+        weights = np.random.default_rng(n).normal(size=(n, n))
+
+        def fn(p):
+            img = ad.soft_disks(*(p if k == wrt else v for k, v in scene.items()), n, 0.35)
+            return ad.reduce_sum(ad.mul(ad.mul(img, img), weights))
+
+        check(fn, scene[wrt])
+
+    @pytest.mark.parametrize("row, col", [(-0.01, 3.0), (3.0, 15.5), (np.nan, 3.0)])
+    def test_centres_outside_the_canvas_rejected(self, row, col):
+        with pytest.raises(ValueError, match=r"centres must lie in \[0, 15\]"):
+            ad.soft_disks(np.array([row]), np.array([col]), np.ones(1), np.ones(1), 16, 0.35)
+
+
 class TestReductionsAndL1:
     def test_reduce_sum_scalar_shape(self):
         tape = ad.Tape()
@@ -495,13 +512,13 @@ _ANY = _rng.normal(size=(2, 3))
 _MAT = _rng.normal(size=(4, 3))
 _IMGS = _rng.normal(size=(2, 5, 5, 2))
 _KER = _rng.normal(size=(3, 3, 2, 3))
+_DISKS = _rng.uniform(0.5, 6.5, size=(4, 3))  # rows, cols, radii, heights of 3 disks on 8 px
 
 # (primitive, call, operands): every array primitive, given its operands
 FOLD_CASES = [
     ("add", ad.add, (_POS, _ANY)),
     ("sub", ad.sub, (_POS, _ANY)),
     ("mul", ad.mul, (_POS, _ANY)),
-    ("neg", ad.neg, (_ANY,)),
     ("scale", lambda x: ad.scale(x, 1.7), (_ANY,)),
     ("matvec", ad.matvec, (_MAT, _ANY)),
     ("take_index", lambda x: ad.take_index(x, np.array([1, 0, 1])), (_ANY,)),
@@ -520,6 +537,7 @@ FOLD_CASES = [
         (_IMGS, _KER, _MAT[0]),
     ),
     ("upsample_nearest", ad.upsample_nearest, (_IMGS,)),
+    ("soft_disks", lambda r, c, rad, h: ad.soft_disks(r, c, rad, h, 8, 0.35), tuple(_DISKS)),
     ("reduce_sum", lambda x: ad.reduce_sum(x, axis=-1), (_ANY,)),
     ("l1_diff", lambda x: ad.l1_diff(x, _POS), (_ANY,)),
 ]
