@@ -42,7 +42,7 @@ q_req = 8.0
 rng = np.random.default_rng(1)
 params = init_blob_params(rng, n_slots=12, n_on=6)
 
-start_img = render_blob_scene(ad.Tape(), params).values
+start_img = render_blob_scene(ad.Tape(), params, params.as_dict())
 print(f"start: model sees {model.predict_count(start_img, 0):.2f} blobs, "
       f"oracle sees {oracle_count_components(start_img, 0.40)}")
 
@@ -52,7 +52,7 @@ print(f"\noptimizing toward Q_req = {q_req:.0f}:")
 for rec in trajectory[:: max(1, len(trajectory) // 10)]:
     print(f"  step {rec.step:3d}: loss {rec.loss:7.3f}, predicted count {rec.count:.2f}")
 
-final_img = render_blob_scene(ad.Tape(), best).values
+final_img = render_blob_scene(ad.Tape(), best, best.as_dict())
 pred = model.predict_count(final_img, 0)
 comps = oracle_count_components(final_img, 0.40)
 print(f"\nfinal: {len(trajectory)} steps, predicted {pred:.2f}, "

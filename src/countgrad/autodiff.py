@@ -164,22 +164,25 @@ def new_param(tape: Tape, values) -> DiffArray:
     return tape._record(arr.copy(), (), None)
 
 
-def _unary(x, out, vjp):
-    """Record ``out`` with rule ``vjp`` if ``x`` is on a tape; else return it as is."""
-    if isinstance(x, DiffArray):
-        return x.tape._record(out, (x.node_id,), vjp)
-    return out
+def _recorded(out, *rules, pre=None):
+    """Record ``out`` with the rule of each (operand, rule) pair whose operand is on a tape.
 
-
-def _record_rules(tape: Tape, out, rules, pre=None) -> DiffArray:
-    """Record ``out`` with the rule of each (operand, rule) pair whose operand is on ``tape``.
-
-    A rule keeps alive only what it references, so callers build each from
-    just what that operand's gradient needs; rules of constant operands
-    are dropped. ``pre``, if given, maps the output gradient once before
-    the rules see it.
+    Each rule maps the output gradient to its operand's gradient. Rules of
+    constant operands are dropped, and with every operand constant ``out``
+    is returned unrecorded. A rule keeps alive only what it references, so
+    callers build each from just what that operand's gradient needs.
+    ``pre``, if given, maps the output gradient once before the rules see
+    it.
     """
-    parents = tuple(x.node_id for x, _ in rules if isinstance(x, DiffArray))
+    if pre is None and len(rules) == 1:  # most primitives: no lists or tape scan to build
+        x, rule = rules[0]
+        if isinstance(x, DiffArray):
+            return x.tape._record(out, (x.node_id,), lambda g: (rule(g),))
+        return out
+    tape = _tape_of(*[x for x, _ in rules])
+    if tape is None:
+        return out
+    parents = tuple([x.node_id for x, _ in rules if isinstance(x, DiffArray)])
     grads = [rule for x, rule in rules if isinstance(x, DiffArray)]
 
     def vjp(g):
@@ -190,40 +193,33 @@ def _record_rules(tape: Tape, out, rules, pre=None) -> DiffArray:
     return tape._record(out, parents, vjp)
 
 
-def _binary(a, b, out, grad_a, grad_b):
-    """Record ``out`` with the gradient rule of each operand that is on a tape.
-
-    With both operands constant, ``out`` is returned unrecorded.
-    """
-    tape = _tape_of(a, b)
-    if tape is None:
-        return out
-    return _record_rules(tape, out, ((a, grad_a), (b, grad_b)))
-
-
 def add(a, b) -> DiffArray:
     av, bv = _values(a), _values(b)
     sa, sb = av.shape, bv.shape
-    return _binary(a, b, av + bv, lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(g, sb))
+    return _recorded(
+        av + bv, (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb))
+    )
 
 
 def sub(a, b) -> DiffArray:
     av, bv = _values(a), _values(b)
     sa, sb = av.shape, bv.shape
-    return _binary(a, b, av - bv, lambda g: _unbroadcast(g, sa), lambda g: _unbroadcast(-g, sb))
+    return _recorded(
+        av - bv, (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(-g, sb))
+    )
 
 
 def mul(a, b) -> DiffArray:
     av, bv = _values(a), _values(b)
     sa, sb = av.shape, bv.shape
-    return _binary(
-        a, b, av * bv, lambda g: _unbroadcast(g * bv, sa), lambda g: _unbroadcast(g * av, sb)
+    return _recorded(
+        av * bv, (a, lambda g: _unbroadcast(g * bv, sa)), (b, lambda g: _unbroadcast(g * av, sb))
     )
 
 
 def scale(x: DiffArray, c: float) -> DiffArray:
     c = float(c)
-    return _unary(x, c * _values(x), lambda g: (c * g,))
+    return _recorded(c * _values(x), (x, lambda g: c * g))
 
 
 def matvec(w, v) -> DiffArray:
@@ -247,7 +243,7 @@ def matvec(w, v) -> DiffArray:
     def grad_v(g):
         return _unbroadcast((np.swapaxes(wv, -1, -2) @ g[..., None])[..., 0], vshape)
 
-    return _binary(w, v, out, grad_w, grad_v)
+    return _recorded(out, (w, grad_w), (v, grad_v))
 
 
 def take_index(x: DiffArray, i) -> DiffArray:
@@ -263,18 +259,18 @@ def take_index(x: DiffArray, i) -> DiffArray:
         raise IndexError(f"index {i} out of range for leading axis of size {n}")
     shape = xv.shape
 
-    def vjp(g):
+    def grad(g):
         gx = np.zeros(shape)
         np.add.at(gx, idx, g)
-        return (gx,)
+        return gx
 
-    return _unary(x, xv[idx].copy(), vjp)
+    return _recorded(xv[idx].copy(), (x, grad))
 
 
 def reshape(x: DiffArray, shape) -> DiffArray:
     xv = _values(x)
     old = xv.shape
-    return _unary(x, xv.reshape(tuple(shape)), lambda g: (g.reshape(old),))
+    return _recorded(xv.reshape(tuple(shape)), (x, lambda g: g.reshape(old)))
 
 
 def concat_channels(a: DiffArray, b: DiffArray) -> DiffArray:
@@ -282,18 +278,18 @@ def concat_channels(a: DiffArray, b: DiffArray) -> DiffArray:
     av, bv = _values(a), _values(b)
     ca = av.shape[-1]
     out = np.concatenate([av, bv], axis=-1)
-    return _binary(a, b, out, lambda g: g[..., :ca], lambda g: g[..., ca:])
+    return _recorded(out, (a, lambda g: g[..., :ca]), (b, lambda g: g[..., ca:]))
 
 
 def sigmoid(x: DiffArray) -> DiffArray:
     # expit is the numerically stable two-branch logistic.
     y = expit(_values(x))
-    return _unary(x, y, lambda g: (g * y * (1.0 - y),))
+    return _recorded(y, (x, lambda g: g * y * (1.0 - y)))
 
 
 def softplus(x: DiffArray) -> DiffArray:
     xv = _values(x)
-    return _unary(x, np.logaddexp(0.0, xv), lambda g: (g * expit(xv),))
+    return _recorded(np.logaddexp(0.0, xv), (x, lambda g: g * expit(xv)))
 
 
 def _rectify(z: np.ndarray, slope: float, tape: Tape | None, out=None):
@@ -322,14 +318,14 @@ def _rectify(z: np.ndarray, slope: float, tape: Tape | None, out=None):
 def leaky_relu(x: DiffArray, alpha: float = 0.1) -> DiffArray:
     """``x`` where positive, ``alpha * x`` elsewhere; ``alpha`` must lie in [0, 1]."""
     out, scale_grad = _rectify(_values(x), alpha, _tape_of(x))
-    return _unary(x, out, lambda g: (scale_grad(g),))
+    return _recorded(out, (x, scale_grad))
 
 
 def log(x: DiffArray) -> DiffArray:
     xv = _values(x)
     if np.any(xv <= 0.0):
         raise ValueError("log requires strictly positive inputs")
-    return _unary(x, np.log(xv), lambda g: (g / xv,))
+    return _recorded(np.log(xv), (x, lambda g: g / xv))
 
 
 def sqrt(x: DiffArray) -> DiffArray:
@@ -337,7 +333,7 @@ def sqrt(x: DiffArray) -> DiffArray:
     if np.any(xv < 0.0):
         raise ValueError("sqrt requires non-negative inputs")
     y = np.sqrt(xv)
-    return _unary(x, y, lambda g: (g * 0.5 / y,))
+    return _recorded(y, (x, lambda g: g * 0.5 / y))
 
 
 def clamp(x: DiffArray, lo: float, hi: float) -> DiffArray:
@@ -345,7 +341,7 @@ def clamp(x: DiffArray, lo: float, hi: float) -> DiffArray:
     xv = _values(x)
     inside = (xv > lo) & (xv < hi)
     _note_kink(_tape_of(x), inside, lambda: np.any(xv == lo) or np.any(xv == hi))
-    return _unary(x, np.clip(xv, lo, hi), lambda g: (g * inside,))
+    return _recorded(np.clip(xv, lo, hi), (x, lambda g: g * inside))
 
 
 def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -448,8 +444,9 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
     def grad_bias(g):
         return _unbroadcast(g, (co,))
 
-    rules = ((x, grad_input), (kernel, grad_kernel), (bias, grad_bias))
-    return _record_rules(tape, out, rules, pre=scale_grad)
+    return _recorded(
+        out, (x, grad_input), (kernel, grad_kernel), (bias, grad_bias), pre=scale_grad
+    )
 
 
 def upsample_nearest(x: DiffArray, factor: int = 2) -> DiffArray:
@@ -458,10 +455,10 @@ def upsample_nearest(x: DiffArray, factor: int = 2) -> DiffArray:
     *lead, h, w, c = xv.shape
     out = xv.repeat(factor, axis=-3).repeat(factor, axis=-2)
 
-    def vjp(g):
-        return (g.reshape(*lead, h, factor, w, factor, c).sum(axis=(-4, -2)),)
+    def grad(g):
+        return g.reshape(*lead, h, factor, w, factor, c).sum(axis=(-4, -2))
 
-    return _unary(x, out, vjp)
+    return _recorded(out, (x, grad))
 
 
 def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray:
@@ -501,9 +498,6 @@ def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray
     for r0, c0, disk in zip(ri, ci, edge * hv[:, None, None]):
         padded[r0 : r0 + w, c0 : c0 + w] += disk
     out = padded[h : h + n, h : h + n]
-    tape = _tape_of(rows, cols, radius, height)
-    if tape is None:
-        return out
 
     def windows(g):
         """g's window under every slot, the edge's gradient, and that over the distance."""
@@ -513,13 +507,14 @@ def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray
         dz = inv * (gw * hv[:, None, None] * edge * (1.0 - edge))
         return gw, dz, dz / dist
 
-    rules = (
+    return _recorded(
+        out,
         (rows, lambda t: (t[2] * dr).sum(axis=(1, 2))),
         (cols, lambda t: (t[2] * dc).sum(axis=(1, 2))),
         (radius, lambda t: t[1].sum(axis=(1, 2))),
         (height, lambda t: (t[0] * edge).sum(axis=(1, 2))),
+        pre=windows,
     )
-    return _record_rules(tape, out, rules, pre=windows)
 
 
 def reduce_sum(x: DiffArray, axis=None) -> DiffArray:
@@ -533,7 +528,7 @@ def reduce_sum(x: DiffArray, axis=None) -> DiffArray:
     out = np.asarray(xv.sum(axis=axis))
     summed = range(len(shape)) if axis is None else {a % len(shape) for a in np.atleast_1d(axis)}
     kept = tuple(1 if i in summed else n for i, n in enumerate(shape))
-    return _unary(x, out, lambda g: (np.broadcast_to(np.reshape(g, kept), shape).copy(),))
+    return _recorded(out, (x, lambda g: np.broadcast_to(np.reshape(g, kept), shape).copy()))
 
 
 def l1_diff(a: DiffArray, b) -> DiffArray:
@@ -548,7 +543,7 @@ def l1_diff(a: DiffArray, b) -> DiffArray:
     r = av - bv
     s = np.sign(r)
     _note_kink(_tape_of(a), s, lambda: np.any(r == 0.0))
-    return _unary(a, np.asarray(np.abs(r).sum()), lambda g: (g * s,))
+    return _recorded(np.asarray(np.abs(r).sum()), (a, lambda g: g * s))
 
 
 class Gradients:

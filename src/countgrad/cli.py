@@ -350,7 +350,7 @@ def cmd_guide(cfg, seed, outdir):
     category = _get(s, "category", 0)
     best, trajectory = guide_optimize(model, params, gcfg, category_id=category)
 
-    image = render_blob_scene(ad.Tape(), best).values
+    image = render_blob_scene(ad.Tape(), best, best.as_dict())  # constants: nothing recorded
     threshold = _get(s, "oracle_threshold", 0.40)
     components = oracle_count_components(image, threshold)
     final_pred = model.predict_count(image, category)

@@ -183,19 +183,20 @@ def render_blob_scene(
     tape: ad.Tape,
     params: BlobSceneParams,
     param_nodes: dict[str, ad.DiffArray | np.ndarray] | None = None,
-) -> ad.DiffArray:
+) -> ad.DiffArray | np.ndarray:
     """Differentiable composite of all slots; returns the (canvas, canvas) image.
 
     Pass ``param_nodes`` (as made by new_param from params.as_dict()) to
     optimize the latents; a frozen latent may be given as its plain array,
-    which keeps its chain off the tape. Without ``param_nodes`` fresh
-    leaves are created on the tape. The per-slot (S,) chains (opacity,
-    intensity, clamped centers, radius) are ordinary nodes; one
-    ``ad.soft_disks`` node then draws every slot's disk inside a window
-    around its center, where the edge is visible, and adds the slots in
-    order. The render is zero, up to the background, beyond each disk's
-    window, and the tape holds the same number of nodes whatever the slot
-    count.
+    which keeps its chain off the tape. With every latent plain
+    (``params.as_dict()``) nothing is recorded and the image is a plain
+    array. Without ``param_nodes`` fresh leaves are created on the tape.
+    The per-slot (S,) chains (opacity, intensity, clamped centers, radius)
+    are ordinary nodes; one ``ad.soft_disks`` node then draws every slot's
+    disk inside a window around its center, where the edge is visible, and
+    adds the slots in order. The render is zero, up to the background,
+    beyond each disk's window, and the tape holds the same number of nodes
+    whatever the slot count.
     """
     n = params.canvas
     if param_nodes is None:

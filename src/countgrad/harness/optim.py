@@ -6,6 +6,9 @@ import numpy as np
 
 __all__ = ["Adam"]
 
+_BETA1 = 0.9  # decay of the first-moment (mean) estimate
+_BETA2 = 0.999  # decay of the second-moment (uncentred variance) estimate
+
 
 class Adam:
     """Standard Adam with bias correction and a per-parameter learning rate.
@@ -20,12 +23,10 @@ class Adam:
     shared head weights downward at full speed forever.
     """
 
-    def __init__(self, lr_map: dict[str, float], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr_map: dict[str, float], eps: float = 1e-8):
         if any(lr <= 0 for lr in lr_map.values()):
             raise ValueError("learning rates must be positive")
         self.lr = dict(lr_map)
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
@@ -34,8 +35,8 @@ class Adam:
     def step(self, weights: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Update ``weights`` in place from one gradient evaluation."""
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - _BETA1**self.t
+        c2 = 1.0 - _BETA2**self.t
         for name, g in grads.items():
             if name not in self.lr:
                 raise KeyError(f"no learning rate configured for {name}")
@@ -44,6 +45,6 @@ class Adam:
                 m = self._m[name] = np.zeros_like(g, dtype=np.float64)
                 self._v[name] = np.zeros_like(g, dtype=np.float64)
             v = self._v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
+            m += (1.0 - _BETA1) * (g - m)
+            v += (1.0 - _BETA2) * (g * g - v)
             weights[name] = weights[name] - self.lr[name] * (m / c1) / (np.sqrt(v / c2) + self.eps)

@@ -5,9 +5,11 @@ which keeps the default weighting meaningful against count error. The
 classification losses are mean binary cross-entropy, making their weight
 independent of grid resolution.
 
-Predictions may carry a leading batch axis, (B, grid, grid) against
-per-row targets; every loss is then the sum of its rows' single-image
-losses, so gradients of a batch equal the sum of per-image gradients.
+Targets are the plain arrays the training loop stacks; the weak
+classification loss takes one WeakGrids per row. Predictions may carry a
+leading batch axis, (B, grid, grid) against per-row targets; every loss
+is then the sum of its rows' single-image losses, so gradients of a batch
+equal the sum of per-image gradients.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .targets import CardinalityMap, ClassGrid, DensityMap, WeakGrids
+from .targets import WeakGrids
 
 __all__ = [
     "LossWeights",
@@ -57,17 +59,9 @@ class LossWeights:
             raise ValueError("gamma must lie in [0, 1]")
 
 
-def _grid_of(target) -> np.ndarray:
-    if isinstance(target, (CardinalityMap, DensityMap)):
-        return target.grid
-    return np.asarray(target, dtype=np.float64)
-
-
-def strong_count_loss(
-    pred: ad.DiffArray, target: CardinalityMap | DensityMap | np.ndarray
-) -> ad.DiffArray:
-    """Summed L1 between predicted grid and the cardinality (or Gaussian density) target."""
-    return ad.l1_diff(pred, _grid_of(target))
+def strong_count_loss(pred: ad.DiffArray, target: np.ndarray) -> ad.DiffArray:
+    """Summed L1 between the predicted grid and the cardinality (or Gaussian density) grid."""
+    return ad.l1_diff(pred, target)
 
 
 def _bce_terms(pred: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
@@ -76,35 +70,33 @@ def _bce_terms(pred: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
     return ad.add(ad.mul(ad.log(p), y), ad.mul(ad.log(ad.sub(1.0, p)), 1.0 - y))
 
 
-def strong_cls_loss(pred: ad.DiffArray, target: ClassGrid | np.ndarray) -> ad.DiffArray:
-    """Mean binary cross-entropy over every grid cell (of each row, summed over rows)."""
-    labels = target.grid if isinstance(target, ClassGrid) else np.asarray(target)
+def strong_cls_loss(pred: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
+    """Mean binary cross-entropy over every grid cell (of each row, summed over rows).
+
+    ``labels`` is the boolean class grid, shaped like ``pred``.
+    """
     if pred.shape != labels.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {labels.shape}")
     terms = _bce_terms(pred, labels)
     return ad.scale(ad.reduce_sum(terms), -1.0 / math.prod(labels.shape[-2:]))
 
 
-def weak_cls_loss(pred: ad.DiffArray, weak: WeakGrids | Sequence[WeakGrids]) -> ad.DiffArray:
+def weak_cls_loss(pred: ad.DiffArray, weak: Sequence[WeakGrids]) -> ad.DiffArray:
     """Mean binary cross-entropy restricted to the annotated cells.
 
+    ``pred`` is a (B, grid, grid) batch and ``weak`` holds one WeakGrids
+    per row; each row is averaged over its own annotated cells.
     Unannotated cells contribute exactly nothing, so sparse labels never
-    penalize the model for regions nobody looked at. For a (B, grid, grid)
-    prediction pass one WeakGrids per row; each row is averaged over its
-    own annotated cells.
+    penalize the model for regions nobody looked at.
     """
-    grids = [weak] if isinstance(weak, WeakGrids) else list(weak)
-    omega = np.stack([wg.annotated for wg in grids])
+    omega = np.stack([wg.annotated for wg in weak])
     n = omega.sum(axis=(1, 2), keepdims=True)
     if not n.all():
         raise ValueError("no annotated cells to supervise")
     cell_weight = omega / n
-    positive = np.stack([wg.positive for wg in grids])
-    if isinstance(weak, WeakGrids):
-        cell_weight, positive = cell_weight[0], positive[0]
     if pred.shape != cell_weight.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {cell_weight.shape}")
-    terms = _bce_terms(pred, positive)
+    terms = _bce_terms(pred, np.stack([wg.positive for wg in weak]))
     return ad.scale(ad.reduce_sum(ad.mul(terms, cell_weight)), -1.0)
 
 

@@ -5,7 +5,8 @@ mask pixels and pools to grid cells, so the map total equals the object
 count exactly (up to 64-bit rounding). The Gaussian density map is the
 classical alternative kept as an ablation baseline; its total only
 approximates the count. Class and weak-label grids supply the targets for
-the classification head.
+the classification head. Every target lives on the same fixed grid of
+GRID_FACTOR-pixel cells, so an image extent it does not divide is rejected.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ GRID_FACTOR = 8  # pixels per grid cell side; 64x64 images pool to 8x8
 @dataclass(frozen=True)
 class CardinalityMap:
     grid: np.ndarray  # float64 (Hg, Wg), objects per cell
-    factor: int
 
     def __post_init__(self):
         if (self.grid < 0).any():
@@ -49,7 +49,6 @@ class CardinalityMap:
 @dataclass(frozen=True)
 class DensityMap:
     grid: np.ndarray  # float64 (Hg, Wg)
-    sigma: float  # kernel bandwidth in pixels
 
     def __post_init__(self):
         if (self.grid < 0).any():
@@ -103,42 +102,41 @@ def pixel_cardinality(masks: list[InstanceMask], image_shape: tuple[int, int]) -
     return out
 
 
-def grid_cardinality(pixel_grid: np.ndarray, factor: int = GRID_FACTOR) -> CardinalityMap:
-    """Pool a per-pixel cardinality grid into cells by block summation."""
-    h, w = pixel_grid.shape
-    if h % factor or w % factor:
-        raise ValueError(f"factor {factor} does not divide image extents {(h, w)}")
-    pooled = pixel_grid.reshape(h // factor, factor, w // factor, factor).sum(axis=(1, 3))
-    return CardinalityMap(pooled, factor)
+def _grid_shape(image_shape: tuple[int, int]) -> tuple[int, int]:
+    """Grid extents of an image: one cell per GRID_FACTOR x GRID_FACTOR pixel block."""
+    h, w = image_shape
+    if h % GRID_FACTOR or w % GRID_FACTOR:
+        raise ValueError(f"grid factor {GRID_FACTOR} does not divide image extents {(h, w)}")
+    return h // GRID_FACTOR, w // GRID_FACTOR
 
 
-def gaussian_density(
-    points: np.ndarray,
-    sigma: float,
-    image_shape: tuple[int, int],
-    factor: int = GRID_FACTOR,
-) -> DensityMap:
+def grid_cardinality(pixel_grid: np.ndarray) -> CardinalityMap:
+    """Pool a per-pixel cardinality grid into GRID_FACTOR-sided cells by block summation."""
+    hg, wg = _grid_shape(pixel_grid.shape)
+    pooled = pixel_grid.reshape(hg, GRID_FACTOR, wg, GRID_FACTOR).sum(axis=(1, 3))
+    return CardinalityMap(pooled)
+
+
+def gaussian_density(points: np.ndarray, sigma: float, image_shape: tuple[int, int]) -> DensityMap:
     """Classical density target: one unit-mass Gaussian per annotated point.
 
     Kernels live at grid resolution, are truncated to a 3-sigma box clipped
     at the borders, and are renormalized per point so border objects do not
-    leak mass.
+    leak mass. ``sigma`` is the bandwidth in image pixels.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     h, w = image_shape
-    if h % factor or w % factor:
-        raise ValueError(f"factor {factor} does not divide image extents {(h, w)}")
-    hg, wg = h // factor, w // factor
+    hg, wg = _grid_shape(image_shape)
     grid = np.zeros((hg, wg), dtype=np.float64)
-    sg = sigma / factor
+    sg = sigma / GRID_FACTOR
     reach = 3.0 * sg
     for r, c in np.asarray(points, dtype=np.float64).reshape(-1, 2):
         if not (0 <= r < h and 0 <= c < w):
             raise ValueError(f"point ({r}, {c}) outside image bounds")
         # pixel coordinate -> grid coordinate of the same physical location
-        gr = (r + 0.5) / factor - 0.5
-        gc = (c + 0.5) / factor - 0.5
+        gr = (r + 0.5) / GRID_FACTOR - 0.5
+        gc = (c + 0.5) / GRID_FACTOR - 0.5
         u0 = max(0, int(np.floor(gr - reach)))
         u1 = min(hg - 1, int(np.ceil(gr + reach)))
         v0 = max(0, int(np.floor(gc - reach)))
@@ -147,26 +145,20 @@ def gaussian_density(
         dv = np.arange(v0, v1 + 1) - gc
         kernel = np.exp(-(du[:, None] ** 2 + dv[None, :] ** 2) / (2.0 * sg * sg))
         grid[u0 : u1 + 1, v0 : v1 + 1] += kernel / kernel.sum()
-    return DensityMap(grid, sigma)
+    return DensityMap(grid)
 
 
-def strong_class_grid(
-    masks: list[InstanceMask], image_shape: tuple[int, int], factor: int = GRID_FACTOR
-) -> ClassGrid:
+def strong_class_grid(masks: list[InstanceMask], image_shape: tuple[int, int]) -> ClassGrid:
     """Cell label 1 wherever any mask pixel of the target category falls."""
-    h, w = image_shape
-    if h % factor or w % factor:
-        raise ValueError(f"factor {factor} does not divide image extents {(h, w)}")
+    hg, wg = _grid_shape(image_shape)
     union = np.zeros(image_shape, dtype=bool)
     for m in masks:
         union |= m.pixels
-    cells = union.reshape(h // factor, factor, w // factor, factor).any(axis=(1, 3))
+    cells = union.reshape(hg, GRID_FACTOR, wg, GRID_FACTOR).any(axis=(1, 3))
     return ClassGrid(cells)
 
 
-def weak_label_grids(
-    points: PointAnnotations, image_shape: tuple[int, int], factor: int = GRID_FACTOR
-) -> WeakGrids:
+def weak_label_grids(points: PointAnnotations, image_shape: tuple[int, int]) -> WeakGrids:
     """Map sparse points to cell labels; positives override negatives.
 
     Dropping a colliding negative label is harmless, dropping a positive
@@ -174,17 +166,17 @@ def weak_label_grids(
     number of positive points, not of positive cells.
     """
     h, w = image_shape
-    hg, wg = h // factor, w // factor
+    hg, wg = _grid_shape(image_shape)
     pos = np.zeros((hg, wg), dtype=bool)
     neg = np.zeros((hg, wg), dtype=bool)
     for r, c in points.positive:
         if not (0 <= r < h and 0 <= c < w):
             raise ValueError(f"point ({r}, {c}) outside image bounds")
-        pos[r // factor, c // factor] = True
+        pos[r // GRID_FACTOR, c // GRID_FACTOR] = True
     for r, c in points.negative:
         if not (0 <= r < h and 0 <= c < w):
             raise ValueError(f"point ({r}, {c}) outside image bounds")
-        neg[r // factor, c // factor] = True
+        neg[r // GRID_FACTOR, c // GRID_FACTOR] = True
     neg &= ~pos
     return WeakGrids(pos, neg, points.count)
 

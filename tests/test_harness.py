@@ -392,6 +392,15 @@ class TestBlobScene:
             res = ad.grad_check(fn, base.as_dict()[pname], step=1e-5)
             assert res.max_rel_error <= 1e-5, pname
 
+    def test_plain_latents_render_without_recording(self):
+        params = init_blob_params(np.random.default_rng(4), n_slots=12, n_on=6)
+        recorded = render_blob_scene(ad.Tape(), params)
+        assert isinstance(recorded, ad.DiffArray)
+        tape = ad.Tape()
+        image = render_blob_scene(tape, params, params.as_dict())
+        assert isinstance(image, np.ndarray) and len(tape) == 0
+        np.testing.assert_array_equal(image, recorded.values)
+
     def test_init_layout(self):
         params = init_blob_params(np.random.default_rng(3), n_slots=12, n_on=5)
         assert params.n_slots == 12

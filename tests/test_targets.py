@@ -63,7 +63,7 @@ class TestPixelCardinality:
 class TestGridCardinality:
     def test_mask_within_one_cell(self):
         m = square_mask((3.0, 3.0), 1.0, (64, 64))
-        cmap = grid_cardinality(pixel_cardinality([m], (64, 64)), 8)
+        cmap = grid_cardinality(pixel_cardinality([m], (64, 64)))
         assert cmap.grid[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert cmap.grid.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.count_nonzero(cmap.grid) == 1
@@ -71,7 +71,7 @@ class TestGridCardinality:
     def test_straddling_mask_splits_evenly(self):
         # 2x2 square centered on the cell boundary at column 8
         m = square_mask((4.0, 7.5), 0.9, (64, 64))
-        cmap = grid_cardinality(pixel_cardinality([m], (64, 64)), 8)
+        cmap = grid_cardinality(pixel_cardinality([m], (64, 64)))
         assert cmap.grid[0, 0] == pytest.approx(0.5)
         assert cmap.grid[0, 1] == pytest.approx(0.5)
 
@@ -79,7 +79,7 @@ class TestGridCardinality:
         rng = np.random.default_rng(11)
         for _ in range(200):
             masks = random_masks(rng)
-            cmap = grid_cardinality(pixel_cardinality(masks, (64, 64)), 8)
+            cmap = grid_cardinality(pixel_cardinality(masks, (64, 64)))
             q = len(masks)
             assert abs(cmap.total - q) <= 1e-9 * max(q, 1)
 
@@ -88,17 +88,17 @@ class TestGridCardinality:
         masks = random_masks(rng, max_n=8)
         while len(masks) < 2:
             masks = random_masks(rng, max_n=8)
-        g1 = grid_cardinality(pixel_cardinality(masks, (64, 64)), 8)
-        g2 = grid_cardinality(pixel_cardinality(masks[::-1], (64, 64)), 8)
+        g1 = grid_cardinality(pixel_cardinality(masks, (64, 64)))
+        g2 = grid_cardinality(pixel_cardinality(masks[::-1], (64, 64)))
         np.testing.assert_allclose(g1.grid, g2.grid, atol=1e-12)
 
     def test_divisibility_guard(self):
         with pytest.raises(ValueError):
-            grid_cardinality(np.zeros((60, 64)), 8)
+            grid_cardinality(np.zeros((60, 64)))
 
     def test_negative_cells_rejected(self):
         with pytest.raises(ValueError):
-            CardinalityMap(np.array([[-0.1]]), 8)
+            CardinalityMap(np.array([[-0.1]]))
 
 
 class TestGaussianDensity:
@@ -119,7 +119,7 @@ class TestGaussianDensity:
     def test_totals_match_cardinality_within_one_percent(self):
         rng = np.random.default_rng(14)
         masks = [disk_mask(tuple(rng.uniform(12, 52, 2)), 4.0, (64, 64)) for _ in range(5)]
-        cmap = grid_cardinality(pixel_cardinality(masks, (64, 64)), 8)
+        cmap = grid_cardinality(pixel_cardinality(masks, (64, 64)))
         pts = np.array([[int(np.mean(np.nonzero(m.pixels)[0])), int(np.mean(np.nonzero(m.pixels)[1]))] for m in masks])
         d = gaussian_density(pts, default_sigma(masks), (64, 64))
         assert abs(d.total - cmap.total) <= 0.01 * cmap.total
@@ -149,7 +149,7 @@ class TestStrongClassGrid:
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(15)
         masks = random_masks(rng)
-        g = strong_class_grid(masks, (64, 64), 8)
+        g = strong_class_grid(masks, (64, 64))
         for u in range(8):
             for v in range(8):
                 expect = any(
@@ -161,23 +161,29 @@ class TestStrongClassGrid:
 class TestWeakLabelGrids:
     def test_distinct_cells(self):
         pts = PointAnnotations(np.array([[4, 4], [20, 20], [40, 40]]), np.array([[60, 60]]))
-        wg = weak_label_grids(pts, (64, 64), 8)
+        wg = weak_label_grids(pts, (64, 64))
         assert wg.positive.sum() == 3
         assert wg.count == 3
         assert wg.negative.sum() == 1
 
     def test_positive_collision_preserves_k(self):
         pts = PointAnnotations(np.array([[1, 1], [2, 2]]), np.zeros((0, 2), dtype=int))
-        wg = weak_label_grids(pts, (64, 64), 8)
+        wg = weak_label_grids(pts, (64, 64))
         assert wg.positive.sum() == 1
         assert wg.count == 2
 
     def test_positive_wins_over_negative(self):
         pts = PointAnnotations(np.array([[1, 1]]), np.array([[2, 2]]))
-        wg = weak_label_grids(pts, (64, 64), 8)
+        wg = weak_label_grids(pts, (64, 64))
         assert wg.positive[0, 0]
         assert not wg.negative[0, 0]
         assert wg.annotated.sum() == 1
+
+    @pytest.mark.parametrize("row", [58, 10])  # in the last 4 rows, and above them
+    def test_divisibility_guard(self, row):
+        pts = PointAnnotations(np.array([[row, 10]]), np.zeros((0, 2), dtype=int))
+        with pytest.raises(ValueError, match="does not divide"):
+            weak_label_grids(pts, (60, 64))
 
     def test_disjointness_enforced_by_type(self):
         both = np.zeros((2, 2), dtype=bool)
@@ -192,7 +198,7 @@ class TestWeakLabelGrids:
         scene = render_scene([ShapePaint(0, a, 0.8), ShapePaint(0, b, 0.8)], (64, 64))
         pts = PointAnnotations(np.array([[10, 10], [40, 50]]), np.array([[0, 63]]))
         pts.validate_against(scene)
-        wg = weak_label_grids(pts, (64, 64), 8)
+        wg = weak_label_grids(pts, (64, 64))
         assert wg.positive[1, 1] and wg.positive[5, 6]
         assert wg.count == 2
 
