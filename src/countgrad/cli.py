@@ -21,6 +21,7 @@ from . import autodiff as ad
 from .datagen import Corpus, SceneSpec, make_corpus, read_corpus, write_corpus
 from .harness import (
     ABLATION_VARIANTS,
+    SIZE_BIAS_RATIOS,
     GuidanceConfig,
     StageData,
     TrainConfig,
@@ -30,13 +31,18 @@ from .harness import (
     predict_counts,
     render_blob_scene,
     run_ablation,
+    size_bias_tables,
     threshold_sweep,
     train_stage,
 )
-from .harness.experiments import _RATIOS, _size_bias_tables
 from .losses import LossWeights
 from .model import CountModel, ModelConfig, load_checkpoint, save_checkpoint
 from .raster import oracle_count_components
+
+
+# Brightness cutoff of guide's component count: between fully-on blobs
+# (peaks ~0.55-0.8) and the fraction of a count guidance parks below ~0.35.
+ORACLE_THRESHOLD = 0.40
 
 
 class ConfigError(ValueError):
@@ -64,11 +70,11 @@ _SECTION_KEYS = {
     "model": _keys(ModelConfig) | {"init_checkpoint"},
     "train": _TRAINING_KEYS | {"stage", "train_corpus", "val_corpus", "strong_mix_corpus"},
     "loss": _keys(LossWeights),
-    "eval": {"checkpoint", "corpus", "kappa", "tile_size"},
+    "eval": {"checkpoint", "corpus", "kappa"},
     "size-bias": {"checkpoints", "corpus", "ratios", "by_size_class"},
     "threshold-sweep": {"checkpoint", "corpus", "kappas"},
     "guide": _keys(GuidanceConfig)
-    | {"checkpoint", "category", "n_slots", "n_on", "oracle_threshold", "seed"},
+    | {"checkpoint", "category", "n_slots", "n_on", "seed"},
     "ablate": {
         "variants", "strong_train_corpus", "strong_val_corpus",
         "weak_train_corpus", "weak_val_corpus", "strong_mix_corpus",
@@ -246,7 +252,9 @@ def cmd_eval(cfg, seed, outdir):
     model = load_checkpoint(_require(s, "checkpoint"))
     corpus = _read_corpus_at(s, "corpus")
     kappa = _get(s, "kappa", 0.0)
-    tile_size = _get(s, "tile_size", 0) if s.get("tile_size") else None
+    # images larger than the model input are tiled; smaller ones fail on shape
+    n = model.config.input_size
+    tile_size = n if any(max(item.sample.scene.shape) > n for item in corpus.items) else None
 
     preds = predict_counts(model, corpus, kappa, tile_size)
     truths = [item.sample.scene.count(item.sample.category_id) for item in corpus.items]
@@ -276,7 +284,7 @@ def _named_checkpoints(value):
 def cmd_size_bias(cfg, seed, outdir):
     s = _section(cfg, "size-bias", required=True)
     corpus = _read_corpus_at(s, "corpus")
-    ratios = _get(s, "ratios", _RATIOS)
+    ratios = _get(s, "ratios", SIZE_BIAS_RATIOS)
     by_size_class = _get(s, "by_size_class", False)
     models = {}
     for name, path in _named_checkpoints(_require(s, "checkpoints")):
@@ -284,7 +292,7 @@ def cmd_size_bias(cfg, seed, outdir):
             raise ConfigError(f"checkpoint not found: {path}")
         models[name] = load_checkpoint(path)
 
-    rows, cls_rows = _size_bias_tables(models, corpus, ratios, by_size_class)
+    rows, cls_rows = size_bias_tables(models, corpus, ratios, by_size_class)
     table_path = os.path.join(outdir, "size_bias.csv")
     _write_csv(
         table_path,
@@ -351,8 +359,7 @@ def cmd_guide(cfg, seed, outdir):
     best, trajectory = guide_optimize(model, params, gcfg, category_id=category)
 
     image = render_blob_scene(ad.Tape(), best, best.as_dict())  # constants: nothing recorded
-    threshold = _get(s, "oracle_threshold", 0.40)
-    components = oracle_count_components(image, threshold)
+    components = oracle_count_components(image, ORACLE_THRESHOLD)
     final_pred = model.predict_count(image, category)
 
     traj_path = os.path.join(outdir, "trajectory.csv")
@@ -366,7 +373,7 @@ def cmd_guide(cfg, seed, outdir):
             f"requested count: {q_req}",
             f"steps used: {len(trajectory)} of {gcfg.max_steps}",
             f"final predicted count: {final_pred:.3f}",
-            f"connected components at threshold {threshold}: {components}",
+            f"connected components at threshold {ORACLE_THRESHOLD}: {components}",
             "component count stands in for a human count of the rendered scene",
         ],
     )
@@ -378,6 +385,10 @@ def cmd_ablate(cfg, seed, outdir):
     if _section(cfg, "model").get("init_checkpoint"):
         raise ConfigError("[model] init_checkpoint is read by train only; ablate trains from scratch")
     variants = _get(s, "variants", ABLATION_VARIANTS)
+
+    weights = _read(cfg, "loss", LossWeights)
+    strong_cfg = _read(cfg, "strong-train", TrainConfig, stage="strong", weights=weights, seed=seed)
+    weak_cfg = _read(cfg, "weak-train", TrainConfig, stage="weak", weights=weights, seed=seed)
 
     strong_data = StageData(
         _read_corpus_at(s, "strong_train_corpus"), _read_corpus_at(s, "strong_val_corpus")
@@ -393,10 +404,6 @@ def cmd_ablate(cfg, seed, outdir):
         strong_mix=mix,
     )
     eval_corpus = _read_corpus_at(s, "eval_corpus")
-
-    weights = _read(cfg, "loss", LossWeights)
-    strong_cfg = _read(cfg, "strong-train", TrainConfig, stage="strong", weights=weights, seed=seed)
-    weak_cfg = _read(cfg, "weak-train", TrainConfig, stage="weak", weights=weights, seed=seed)
 
     model_cfg = _read(cfg, "model", ModelConfig)
     rows = run_ablation(variants, model_cfg, strong_data, weak_data, eval_corpus, strong_cfg, weak_cfg)

@@ -319,8 +319,11 @@ def read_corpus(path) -> Corpus:
         instances = []
         for _ in range(r.u(2)):
             cat = r.u(2)
-            if r.u(1):
-                instances.append(SceneInstance(cat, None, subpixel=True))
+            flag = r.u(1)
+            if flag > 1:
+                raise CorpusError(f"subpixel flag {flag} at byte {r.pos - 1}: expected 0 or 1")
+            if flag:
+                instances.append(SceneInstance(cat, None))
             else:
                 pixels = rle_decode(r.array("<u4", r.u(4)), h * w).reshape(h, w)
                 instances.append(SceneInstance(cat, InstanceMask(pixels)))
@@ -347,8 +350,6 @@ def corpora_equal(a: Corpus, b: Corpus) -> bool:
             return False
         for ia, ib in zip(sa.instances, sb.instances):
             if ia.category_id != ib.category_id or ia.subpixel != ib.subpixel:
-                return False
-            if (ia.mask is None) != (ib.mask is None):
                 return False
             if ia.mask is not None and not np.array_equal(ia.mask.pixels, ib.mask.pixels):
                 return False

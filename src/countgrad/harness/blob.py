@@ -45,12 +45,13 @@ EDGE_SOFTNESS = 0.35
 _INTENSITY_LO = 0.45
 _INTENSITY_SPAN = 0.35
 # opacity = sigmoid(presence / PRESENCE_TEMP). Adam moves each coordinate
-# by at most about step_size per step, so over a 150-step budget a latent
+# by at most about STEP_SIZE per step, so over a 150-step budget a latent
 # travels roughly 0.75 units. With a plain sigmoid that is nowhere near
 # enough to flip a decisively-off slot on; the temperature compresses the
 # decision band so a flip costs a fraction of that travel while on/off
 # slots still render fully opaque/invisible.
 PRESENCE_TEMP = 0.04
+STEP_SIZE = 5e-3  # guidance's Adam learning rate for every steered latent
 # Latents guidance moves. Counts change by switching blobs on or off and
 # nudging them around, so only presence and centers are steered;
 # appearance latents (radius, intensity) stay frozen. Letting the
@@ -104,7 +105,6 @@ class BlobSceneParams:
 class GuidanceConfig:
     q_req: float
     max_steps: int = 150
-    step_size: float = 5e-3
     plateau_patience: int = 20  # steps without improvement > PLATEAU_DELTA
 
     def __post_init__(self):
@@ -112,8 +112,6 @@ class GuidanceConfig:
             raise ValueError("q_req must be non-negative")
         if self.max_steps < 1 or self.plateau_patience < 1:
             raise ValueError("step budgets must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
 
 
 @dataclass(frozen=True)
@@ -233,7 +231,7 @@ def guide_optimize(
     and the full (step, loss, predicted count) trajectory.
     """
     values = {k: v.copy() for k, v in params.as_dict().items()}
-    opt = Adam({k: gcfg.step_size for k in STEERED})
+    opt = Adam({k: STEP_SIZE for k in STEERED})
     trajectory: list[GuidanceRecord] = []
     best_loss = math.inf
     best_values = {k: v.copy() for k, v in values.items()}

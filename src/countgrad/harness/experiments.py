@@ -12,9 +12,9 @@ import numpy as np
 
 from ..datagen import Corpus
 from ..losses import LossWeights
-from ..model import CountModel, ModelConfig, count_above
+from ..model import CountModel, ModelConfig
 from ..raster import downscale_image
-from .train import StageData, TrainConfig, compute_metrics, evaluate, predict_counts, train_stage
+from .train import StageData, TrainConfig, _stacked_counts, compute_metrics, evaluate, train_stage
 
 __all__ = [
     "SizeBiasRow",
@@ -22,6 +22,8 @@ __all__ = [
     "ThresholdRow",
     "AblationRow",
     "ABLATION_VARIANTS",
+    "SIZE_BIAS_RATIOS",
+    "size_bias_tables",
     "size_bias_sweep",
     "size_class_drift",
     "threshold_sweep",
@@ -63,7 +65,7 @@ class AblationRow:
 
 
 # The size-bias protocol's default downscaling ratios; 1.0 is the reference.
-_RATIOS = (1.0, 1.5, 2.0, 3.0, 4.0)
+SIZE_BIAS_RATIOS = (1.0, 1.5, 2.0, 3.0, 4.0)
 
 
 def _drift_tables(
@@ -78,13 +80,12 @@ def _drift_tables(
     present = np.unique(classes).tolist()  # ascending; absent classes get no row
     rows, cls_rows = [], []
     for name, model in models.items():
-        base = predict_counts(model, corpus)
+        base = _stacked_counts(model, samples, (0.0,))[0]
         for ratio in ratios:
             preds = base
             if ratio != 1.0:
                 images = [downscale_image(s.scene.image, ratio, s.scene.background) for s in samples]
-                y_cnt, y_cls = model.forward(np.stack(images), [s.category_id for s in samples])
-                preds = [count_above(c, p, 0.0) for c, p in zip(y_cnt, y_cls)]
+                preds = _stacked_counts(model, samples, (0.0,), images)[0]
             drifts = np.asarray([p - b for p, b in zip(preds, base)])
             mae = compute_metrics(preds, truths).mae
             rows.append(SizeBiasRow(name, ratio, float(drifts.mean()), float(np.abs(drifts).mean()), mae))
@@ -94,7 +95,7 @@ def _drift_tables(
     return rows, cls_rows
 
 
-def _size_bias_tables(
+def size_bias_tables(
     models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...], by_size_class: bool
 ) -> tuple[list[SizeBiasRow], list[SizeClassRow]]:
     """``size_bias_sweep``'s checks and rows, plus every model's
@@ -107,7 +108,7 @@ def _size_bias_tables(
 
 
 def size_bias_sweep(
-    models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...] = _RATIOS
+    models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...] = SIZE_BIAS_RATIOS
 ) -> list[SizeBiasRow]:
     """Count drift under progressive downscaling, per model and ratio.
 
@@ -116,7 +117,7 @@ def size_bias_sweep(
     counts are unchanged by rescaling, which is what makes MAE at high
     ratios meaningful.
     """
-    return _size_bias_tables(models, corpus, ratios, by_size_class=False)[0]
+    return size_bias_tables(models, corpus, ratios, by_size_class=False)[0]
 
 
 def _size_classes(corpus: Corpus) -> np.ndarray:
@@ -147,18 +148,15 @@ def threshold_sweep(
     the same rule as thresholded_count, so every row equals evaluate at its
     kappa bit for bit.
     """
+    if not kappas:
+        raise ValueError("kappas is empty: the sweep needs at least one threshold")
     if any(not 0.0 <= k < 1.0 for k in kappas):
         raise ValueError("kappa values must lie in [0, 1)")
-    if len(corpus) == 0:
-        raise ValueError("cannot evaluate on an empty corpus")
     samples = corpus.samples()
-    y_cnt, y_cls = model.forward(
-        np.stack([s.scene.image for s in samples]), [s.category_id for s in samples]
-    )
     truths = [s.scene.count(s.category_id) for s in samples]
     rows = []
-    for kappa in kappas:
-        m = compute_metrics([count_above(c, p, kappa) for c, p in zip(y_cnt, y_cls)], truths)
+    for kappa, preds in zip(kappas, _stacked_counts(model, samples, kappas)):
+        m = compute_metrics(preds, truths)
         rows.append(ThresholdRow(kappa, m.mae, m.rmse))
     best = min(rows, key=lambda r: r.mae)
     return rows, best.kappa

@@ -8,6 +8,12 @@ __all__ = ["Adam"]
 
 _BETA1 = 0.9  # decay of the first-moment (mean) estimate
 _BETA2 = 0.999  # decay of the second-moment (uncentred variance) estimate
+# _EPS doubles as a gradient floor: coordinates whose gradient RMS falls
+# below it move proportionally slower instead of at the full rate. An
+# absolute-error objective keeps a constant-sign gradient on cells whose
+# target is exactly zero, so without the floor those cells drag shared
+# head weights downward at full speed forever.
+_EPS = 1e-8
 
 
 class Adam:
@@ -15,19 +21,12 @@ class Adam:
 
     ``lr_map`` assigns each parameter name its step size, which is how the
     two-group policy (slow trunk, fast heads) is expressed.
-
-    ``eps`` doubles as a gradient floor: coordinates whose gradient RMS
-    falls below it move proportionally slower instead of at the full rate.
-    An absolute-error objective keeps a constant-sign gradient on cells
-    whose target is exactly zero, so without the floor those cells drag
-    shared head weights downward at full speed forever.
     """
 
-    def __init__(self, lr_map: dict[str, float], eps: float = 1e-8):
+    def __init__(self, lr_map: dict[str, float]):
         if any(lr <= 0 for lr in lr_map.values()):
             raise ValueError("learning rates must be positive")
         self.lr = dict(lr_map)
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -47,4 +46,4 @@ class Adam:
             v = self._v[name]
             m += (1.0 - _BETA1) * (g - m)
             v += (1.0 - _BETA2) * (g * g - v)
-            weights[name] = weights[name] - self.lr[name] * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            weights[name] = weights[name] - self.lr[name] * (m / c1) / (np.sqrt(v / c2) + _EPS)

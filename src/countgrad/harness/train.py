@@ -63,7 +63,6 @@ class TrainConfig:
     seed: int = 0
     target: str = "cardinality"  # strong regression target; "density" for the ablation twin
     sigma: float | None = None  # density bandwidth override (default: area-adaptive)
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.stage not in ("strong", "weak"):
@@ -74,8 +73,16 @@ class TrainConfig:
             raise ValueError("learning rates must be positive")
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ValueError("epochs, batch_size, and patience must be >= 1")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be positive")
+        if self.stage == "weak" and self.weights.gamma > 0 and self.n_replay == 0:
+            raise ValueError(
+                f"gamma {self.weights.gamma} at batch_size {self.batch_size} replays "
+                "round(gamma * batch_size) = 0 strong images per batch"
+            )
+
+    @property
+    def n_replay(self) -> int:
+        """Strong images replayed in each weak-stage batch."""
+        return round(self.weights.gamma * self.batch_size)
 
 
 @dataclass(frozen=True)
@@ -125,10 +132,18 @@ def predict_counts(
             model.tiled_count(s.scene.image, s.category_id, tile_size, kappa=kappa)
             for s in samples
         ]
-    y_cnt, y_cls = model.forward(
-        np.stack([s.scene.image for s in samples]), [s.category_id for s in samples]
-    )
-    return [count_above(c, p, kappa) for c, p in zip(y_cnt, y_cls)]
+    return _stacked_counts(model, samples, (kappa,))[0]
+
+
+def _stacked_counts(model: CountModel, samples, kappas, images=None) -> list[list[float]]:
+    """One ``model.forward`` over the samples' images (or ``images``, one per
+    sample) as a stack; per kappa, each sample's ``count_above`` count."""
+    if not samples:
+        raise ValueError("cannot evaluate on an empty corpus")
+    if images is None:
+        images = [s.scene.image for s in samples]
+    y_cnt, y_cls = model.forward(np.stack(images), [s.category_id for s in samples])
+    return [[count_above(c, p, kappa) for c, p in zip(y_cnt, y_cls)] for kappa in kappas]
 
 
 def evaluate(
@@ -137,7 +152,7 @@ def evaluate(
     kappa: float = 0.0,
     tile_size: int | None = None,
 ) -> Metrics:
-    """Count-error metrics over a corpus; tiling engages for oversized images."""
+    """Count-error metrics over a corpus; with ``tile_size`` each image is tiled."""
     preds = predict_counts(model, corpus, kappa, tile_size)
     return compute_metrics(preds, [s.scene.count(s.category_id) for s in corpus.samples()])
 
@@ -248,8 +263,8 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
     MAE/RMSE, and the per-epoch strong/weak sample tally (for auditing the
     gamma mix). Deterministic given the config seed.
     """
-    if config.stage == "weak" and config.weights.gamma > 0 and data.strong_mix is None:
-        raise ValueError("weak stage with gamma > 0 needs a strong_mix corpus")
+    if config.stage == "weak" and config.weights.gamma > 0 and not data.strong_mix:
+        raise ValueError("weak stage with gamma > 0 needs a non-empty strong_mix corpus")
     if len(data.train) == 0:
         raise ValueError("empty training corpus")
 
@@ -257,18 +272,13 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
     w = config.weights
 
     if config.stage == "strong":
-        pool, replays = _prepare_strong(data.train, config), []
+        pool, n_replay = _prepare_strong(data.train, config), 0
     else:
-        pool = _prepare_weak(data.train)
-        mix = data.strong_mix
-        replays = _prepare_strong(mix, config) if mix is not None else []
-    n_replay = round(w.gamma * config.batch_size) if replays else 0
+        pool, n_replay = _prepare_weak(data.train), config.n_replay
+    replays = _prepare_strong(data.strong_mix, config) if n_replay else []
 
     rates = {"trunk": config.lr_trunk, "heads": config.lr_heads}
-    opt = Adam(
-        {name: rates[g] for g, names in model.param_groups().items() for name in names},
-        eps=config.adam_eps,
-    )
+    opt = Adam({name: rates[g] for g, names in model.param_groups().items() for name in names})
 
     best_mae = math.inf
     best_weights = {k: v.copy() for k, v in model.weights.items()}

@@ -54,18 +54,15 @@ class SceneInstance:
     """One object in a scene.
 
     ``mask`` is None exactly for instances that fell below one pixel
-    during downscaling; those keep their count and carry ``subpixel=True``.
+    during downscaling; those keep their count and are ``subpixel``.
     """
 
     category_id: int
     mask: InstanceMask | None
-    subpixel: bool = False
 
-    def __post_init__(self):
-        if self.mask is None and not self.subpixel:
-            raise ValueError("maskless instance must be flagged subpixel")
-        if self.mask is not None and self.subpixel:
-            raise ValueError("subpixel instance must not carry a mask")
+    @property
+    def subpixel(self) -> bool:
+        return self.mask is None
 
 
 @dataclass(frozen=True)
@@ -309,7 +306,7 @@ def downscale_and_pad(scene: Scene, ratio: float) -> Scene:
             pixels[:h2, :w2] = shrunk
             instances.append(SceneInstance(inst.category_id, InstanceMask(pixels)))
         else:
-            instances.append(SceneInstance(inst.category_id, None, subpixel=True))
+            instances.append(SceneInstance(inst.category_id, None))
     return Scene(image, tuple(instances), scene.background)
 
 

@@ -48,12 +48,12 @@ DENSITY_TWIN_SIGMA = 4.0
 # Component-oracle threshold for guided scenes. Guidance settles the
 # requested count as fully-on blobs (peak brightness ~0.55-0.8) plus at
 # most a fraction of one count parked well below visibility (peak <~
-# 0.35); 0.40 sits between those bands. cli.py uses the same default.
+# 0.35); 0.40 sits between those bands. The CLI's ORACLE_THRESHOLD is the same.
 ORACLE_THRESHOLD = 0.40
 # Slack for "non-increasing after smoothing". The guidance objective is
 # an absolute deviation, so near convergence a constant-step optimizer
 # hunts around the kink instead of stopping on it; the smoothed
-# trajectory wobbles by up to ~ step_size / presence temperature of a
+# trajectory wobbles by up to ~ STEP_SIZE / presence temperature of a
 # count. A tenth of one object bounds that wobble with margin while
 # still failing any trajectory that climbs meaningfully.
 SMOOTHED_RISE_TOL = 0.1

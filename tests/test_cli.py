@@ -120,18 +120,17 @@ TRAINING = """
     seed = 4
     target = density
     sigma = 1.5
-    adam_eps = 1e-7
 """
 WEIGHTS = LossWeights(alpha1=0.5, beta1=0.2, alpha2=0.7, beta2=0.3, gamma=0.1)
 TRAINED = dict(
     lr_heads=2e-3, lr_trunk=3e-4, epochs=3, batch_size=8, patience=2, seed=4,
-    target="density", sigma=1.5, adam_eps=1e-7,
+    target="density", sigma=1.5,
 )
 # Keys a command reads itself rather than into the section's dataclass.
 COMMAND_KEYS = {
     "model": {"init_checkpoint"},
     "train": {"stage", "train_corpus", "val_corpus", "strong_mix_corpus"},
-    "guide": {"checkpoint", "category", "n_slots", "n_on", "oracle_threshold", "seed"},
+    "guide": {"checkpoint", "category", "n_slots", "n_on", "seed"},
 }
 
 
@@ -188,10 +187,9 @@ class TestTypedSections:
             ("guide", """
     q_req = 7.5
     max_steps = 40
-    step_size = 0.01
     plateau_patience = 6
     """, GuidanceConfig, {"q_req": 7.5}, GuidanceConfig(
-                q_req=7.5, max_steps=40, step_size=0.01, plateau_patience=6,
+                q_req=7.5, max_steps=40, plateau_patience=6,
             )),
         ],
         ids=["scene", "model", "loss", "train", "strong-train", "weak-train", "guide"],
@@ -348,13 +346,14 @@ class TestEval:
         assert len(rows) == 5  # header + 4 val images
         assert "MAE" in (out / "summary.txt").read_text()
 
-    @pytest.mark.parametrize("image_size, tile_size", [(16, None), (32, 16)])
+    @pytest.mark.parametrize("image_size, expected_tile", [(16, None), (32, 16)])
     def test_outputs_match_per_image_counts_byte_for_byte(
-        self, trained, tmp_path, image_size, tile_size
+        self, trained, tmp_path, image_size, expected_tile
     ):
         # 6 scenes leave a partial last chunk of batched forwards; the files
         # must be exactly what one thresholded_count/tiled_count call per
-        # image gives, in the established CSV and summary format
+        # image gives, in the established CSV and summary format. Images
+        # larger than the model input are tiled at its size, unasked.
         _, ckpt, _, _ = trained
         gen = write_config(
             tmp_path,
@@ -364,11 +363,10 @@ class TestEval:
         )
         assert main(["gen-data", gen, "--out", str(tmp_path / "c6")]) == 0
         corpus_path = tmp_path / "c6" / "corpus.bin"
-        tiling = f"tile_size = {tile_size}\n" if tile_size else ""
         cfg = write_config(
             tmp_path,
             "eval6.ini",
-            f"[eval]\ncheckpoint = {ckpt}\ncorpus = {corpus_path}\nkappa = 0.2\n{tiling}",
+            f"[eval]\ncheckpoint = {ckpt}\ncorpus = {corpus_path}\nkappa = 0.2\n",
         )
         out = tmp_path / "ev6"
         assert main(["eval", cfg, "--out", str(out)]) == 0
@@ -380,8 +378,8 @@ class TestEval:
         for item in corpus.items:
             s = item.sample
             truth = s.scene.count(s.category_id)
-            if tile_size:
-                pred = model.tiled_count(s.scene.image, s.category_id, tile_size, kappa=0.2)
+            if expected_tile:
+                pred = model.tiled_count(s.scene.image, s.category_id, expected_tile, kappa=0.2)
             else:
                 pred = model.thresholded_count(s.scene.image, s.category_id, 0.2)
             lines.append(f"{item.scene_id},{truth},{pred!r},{pred - truth!r}")
@@ -399,6 +397,19 @@ class TestEval:
         cfg = write_config(tmp_path, "e.ini", f"[eval]\ncorpus = {val_corpus}\n")
         assert main(["eval", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_images_smaller_than_input_rejected(self, trained, tmp_path, capsys):
+        _, ckpt, _, _ = trained
+        gen = write_config(
+            tmp_path,
+            "gen8.ini",
+            TINY_SCENE.replace("image_size = 16", "image_size = 8") + "\n[corpus]\nn = 2\n",
+        )
+        assert main(["gen-data", gen, "--out", str(tmp_path / "c8")]) == 0
+        corpus_path = tmp_path / "c8" / "corpus.bin"
+        cfg = write_config(tmp_path, "e8.ini", f"[eval]\ncheckpoint = {ckpt}\ncorpus = {corpus_path}\n")
+        assert main(["eval", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "image shape (2, 8, 8) does not match input size 16" in capsys.readouterr().err
 
 
 class TestExperimentCommands:

@@ -53,7 +53,7 @@ def golden_corpus(scene_id=7, point=(1, 1)) -> Corpus:
     )
     second = Scene(
         image[::-1].copy(),
-        (SceneInstance(1, box(2, 4, 2, 4)), SceneInstance(1, None, subpixel=True), SceneInstance(0, box(6, 7, 0, 8))),
+        (SceneInstance(1, box(2, 4, 2, 4)), SceneInstance(1, None), SceneInstance(0, box(6, 7, 0, 8))),
         0.25,
     )
     return Corpus(
@@ -142,6 +142,19 @@ def test_envelope_violation_names_its_byte_position(tmp_path, fmt, damage):
     with pytest.raises(error, match=message) as info:
         read(path)
     assert re.search(r"at byte \d+", str(info.value))
+
+
+def test_subpixel_flag_other_than_0_or_1_names_its_byte_position(tmp_path):
+    path = tmp_path / "f"
+    write_corpus(golden_corpus(), path)
+    blob = path.read_bytes()
+    # the subpixel target square (category 1, flag 1), then the disk distractor (category 0, flag 0)
+    pattern = b"\x01\x00\x01\x00\x00\x00"
+    assert blob.count(pattern) == 1
+    flag_at = blob.index(pattern) + 2
+    path.write_bytes(reframe(blob, lambda body: body.replace(pattern, b"\x01\x00\x02\x00\x00\x00")))
+    with pytest.raises(CorpusError, match=f"subpixel flag 2 at byte {flag_at}: expected 0 or 1"):
+        read_corpus(path)
 
 
 @pytest.mark.parametrize(

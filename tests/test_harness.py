@@ -253,6 +253,17 @@ class TestTrainStage:
         cfg = TrainConfig(stage="weak", weights=LossWeights(gamma=0.1), epochs=1)
         with pytest.raises(ValueError):
             train_stage(CountModel.create(TINY_MODEL), data, cfg)
+        empty = StageData(data.train, data.val, strong_mix=Corpus(data.train.spec, "train", ()))
+        with pytest.raises(ValueError, match="non-empty strong_mix"):
+            train_stage(CountModel.create(TINY_MODEL), empty, cfg)
+
+    @pytest.mark.parametrize("batch_size", [6, 10])  # gamma * batch_size 0.3, and 0.5 rounding to even
+    def test_weak_stage_rejects_gamma_that_rounds_to_no_replays(self, batch_size):
+        weights = LossWeights(gamma=0.05)
+        with pytest.raises(ValueError, match=rf"gamma 0.05 at batch_size {batch_size} .* = 0"):
+            TrainConfig(stage="weak", weights=weights, batch_size=batch_size)
+        TrainConfig(stage="strong", weights=weights, batch_size=batch_size)  # no replays there
+        assert TrainConfig(stage="weak", weights=weights, batch_size=batch_size + 6).n_replay == 1
 
     def test_weak_stage_gamma_zero_runs_without_mix(self):
         data = tiny_data()
@@ -431,7 +442,7 @@ class TestBlobScene:
         with pytest.raises(ValueError):
             GuidanceConfig(q_req=-1)
         with pytest.raises(ValueError):
-            GuidanceConfig(q_req=3, step_size=0.0)
+            GuidanceConfig(q_req=3, max_steps=0)
 
 
 BLOB_KEYS = ("presence", "center_row", "center_col", "radius_raw", "intensity_raw")
@@ -467,7 +478,7 @@ def loop_render(tape, params, nodes):
 def loop_guide(model, params, gcfg):
     """Reference guidance loop: all five latents are parameters, none folds to a constant."""
     values = {k: v.copy() for k, v in params.as_dict().items()}
-    opt = Adam({k: gcfg.step_size for k in blob.STEERED})
+    opt = Adam({k: blob.STEP_SIZE for k in blob.STEERED})
     trajectory, best_loss, best_values, stale = [], np.inf, dict(values), 0
     for step in range(gcfg.max_steps):
         tape = ad.Tape()
@@ -636,6 +647,8 @@ class TestExperiments:
         assert best in {r.kappa for r in rows}
         with pytest.raises(ValueError):
             threshold_sweep(model, corpus, (0.5, 1.0))
+        with pytest.raises(ValueError, match="kappas is empty"):
+            threshold_sweep(model, corpus, ())
 
     def test_run_ablation_single_variant(self):
         data = tiny_data(n_train=6, n_val=4)

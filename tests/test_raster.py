@@ -62,15 +62,9 @@ class TestMasks:
         with pytest.raises(ValueError):
             InstanceMask(np.zeros((4, 4), dtype=bool))
 
-    def test_subpixel_requires_flag(self):
-        with pytest.raises(ValueError):
-            SceneInstance(0, None)
-
-    def test_subpixel_flag_excludes_a_mask(self):
-        # the corpus writer emits mask runs for a mask and the reader skips
-        # them for a flagged instance, so both at once would not round-trip
-        with pytest.raises(ValueError, match="subpixel instance must not carry a mask"):
-            SceneInstance(0, square_mask((4.0, 4.0), 1.0, (8, 8)), subpixel=True)
+    def test_subpixel_exactly_when_maskless(self):
+        assert SceneInstance(0, None).subpixel
+        assert not SceneInstance(0, square_mask((4.0, 4.0), 1.0, (8, 8))).subpixel
 
 
 class TestRenderScene:
