@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 from dataclasses import fields
@@ -123,8 +124,9 @@ def _get(section, key, default):
 
     A tuple default reads a comma list typed like its first item, the None
     default (``sigma``) a float with an empty value staying None, and a bool
-    default configparser's boolean words. An ill-typed value raises a
-    ConfigError naming the section and key.
+    default configparser's boolean words. An ill-typed value, or a float
+    that is not finite (``nan``, ``inf``), raises a ConfigError naming the
+    section and key.
     """
     text = section.get(key)
     if text is None:
@@ -133,12 +135,17 @@ def _get(section, key, default):
         if isinstance(default, bool):
             return section.getboolean(key)
         if isinstance(default, tuple):
-            return tuple(type(default[0])(v.strip()) for v in text.split(","))
-        if default is None:
-            return float(text) if text else None
-        return type(default)(text)
+            value = tuple(type(default[0])(v.strip()) for v in text.split(","))
+        elif default is None:
+            value = float(text) if text else None
+        else:
+            value = type(default)(text)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}] {key}: {exc}") from None
+    items = value if isinstance(value, tuple) else (value,)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+        raise ConfigError(f"[{section.name}] {key}: {text!r} is not a finite number")
+    return value
 
 
 def _read(cfg, name, cls, **fixed):
@@ -252,11 +259,8 @@ def cmd_eval(cfg, seed, outdir):
     model = load_checkpoint(_require(s, "checkpoint"))
     corpus = _read_corpus_at(s, "corpus")
     kappa = _get(s, "kappa", 0.0)
-    # images larger than the model input are tiled; smaller ones fail on shape
-    n = model.config.input_size
-    tile_size = n if any(max(item.sample.scene.shape) > n for item in corpus.items) else None
 
-    preds = predict_counts(model, corpus, kappa, tile_size)
+    preds = predict_counts(model, corpus, kappa)
     truths = [item.sample.scene.count(item.sample.category_id) for item in corpus.items]
     rows = [[item.scene_id, t, p, p - t] for item, t, p in zip(corpus.items, truths, preds)]
     m = compute_metrics(preds, truths)

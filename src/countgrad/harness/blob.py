@@ -61,6 +61,9 @@ STEP_SIZE = 5e-3  # guidance's Adam learning rate for every steered latent
 STEERED = ("presence", "center_row", "center_col")
 # Smallest loss improvement that resets guidance's plateau patience.
 PLATEAU_DELTA = 1e-3
+# Radius in pixels of every blob ``init_blob_params`` lays out; radii are
+# not steered, so guided blobs keep it.
+INIT_RADIUS = 3.0
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,9 @@ def init_blob_params(
     n_slots: int = 12,
     n_on: int = 2,
     canvas: int = 64,
-    radius: float = 3.0,
 ) -> BlobSceneParams:
-    """Stratified start: slots jittered on a grid, ``n_on`` of them switched on.
+    """Stratified start: slots jittered on a grid, ``n_on`` of them switched on,
+    every one of radius ``INIT_RADIUS``.
 
     Spreading slots out keeps their gradients distinct; which slots start
     active is randomized so repeated runs explore different bases. The
@@ -171,7 +174,7 @@ def init_blob_params(
         presence=presence,
         center_row=rows,
         center_col=cols,
-        radius_raw=np.full(n_slots, inverse_softplus(radius)),
+        radius_raw=np.full(n_slots, inverse_softplus(INIT_RADIUS)),
         intensity_raw=np.zeros(n_slots),
         canvas=canvas,
     )

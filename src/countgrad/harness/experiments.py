@@ -14,7 +14,7 @@ from ..datagen import Corpus
 from ..losses import LossWeights
 from ..model import CountModel, ModelConfig
 from ..raster import downscale_image
-from .train import StageData, TrainConfig, _stacked_counts, compute_metrics, evaluate, train_stage
+from .train import StageData, TrainConfig, compute_metrics, evaluate, predict_counts, train_stage
 
 __all__ = [
     "SizeBiasRow",
@@ -73,19 +73,20 @@ def _drift_tables(
 ) -> tuple[list[SizeBiasRow], list[SizeClassRow]]:
     """Size-bias rows, and size-class rows if asked, from one set of base
     and per-ratio predictions per model. Ratio 1.0 reuses the base; each
-    other ratio's rescaled images run as one stack through ``model.forward``."""
+    other ratio's rescaled images are counted in one ``model.counts`` call."""
     samples = corpus.samples()
+    cats = [s.category_id for s in samples]
     truths = [s.scene.count(s.category_id) for s in samples]
     classes = _size_classes(corpus) if by_size_class else np.zeros(0)
     present = np.unique(classes).tolist()  # ascending; absent classes get no row
     rows, cls_rows = [], []
     for name, model in models.items():
-        base = _stacked_counts(model, samples, (0.0,))[0]
+        base = predict_counts(model, corpus)
         for ratio in ratios:
             preds = base
             if ratio != 1.0:
                 images = [downscale_image(s.scene.image, ratio, s.scene.background) for s in samples]
-                preds = _stacked_counts(model, samples, (0.0,), images)[0]
+                preds = model.counts(images, cats)[0]
             drifts = np.asarray([p - b for p, b in zip(preds, base)])
             mae = compute_metrics(preds, truths).mae
             rows.append(SizeBiasRow(name, ratio, float(drifts.mean()), float(np.abs(drifts).mean()), mae))
@@ -143,19 +144,14 @@ def threshold_sweep(
 ) -> tuple[list[ThresholdRow], float]:
     """Evaluate at each classification threshold; returns rows and argmin kappa.
 
-    The corpus runs as one stack through ``model.forward`` (batched
-    forwards), and those grids serve every kappa. Each count goes through
-    the same rule as thresholded_count, so every row equals evaluate at its
-    kappa bit for bit.
+    One ``model.counts`` call counts the corpus at every kappa from the
+    same grids, so every row equals evaluate at its kappa bit for bit.
     """
-    if not kappas:
-        raise ValueError("kappas is empty: the sweep needs at least one threshold")
-    if any(not 0.0 <= k < 1.0 for k in kappas):
-        raise ValueError("kappa values must lie in [0, 1)")
     samples = corpus.samples()
     truths = [s.scene.count(s.category_id) for s in samples]
+    per_kappa = model.counts([s.scene.image for s in samples], [s.category_id for s in samples], kappas)
     rows = []
-    for kappa, preds in zip(kappas, _stacked_counts(model, samples, kappas)):
+    for kappa, preds in zip(kappas, per_kappa):
         m = compute_metrics(preds, truths)
         rows.append(ThresholdRow(kappa, m.mae, m.rmse))
     best = min(rows, key=lambda r: r.mae)

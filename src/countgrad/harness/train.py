@@ -24,7 +24,7 @@ from ..losses import (
     weak_cls_loss,
     weak_count_loss,
 )
-from ..model import IMAGES_PER_FORWARD, CountModel, count_above
+from ..model import IMAGES_PER_FORWARD, CountModel
 from ..targets import (
     default_sigma,
     gaussian_density,
@@ -111,39 +111,14 @@ def compute_metrics(preds, truths) -> Metrics:
     return Metrics(float(np.mean(np.abs(err))), float(np.sqrt(np.mean(err * err))), preds.size)
 
 
-def predict_counts(
-    model: CountModel,
-    corpus: Corpus,
-    kappa: float = 0.0,
-    tile_size: int | None = None,
-) -> list[float]:
-    """Per-image predicted counts over a corpus, in corpus order.
-
-    Whole images run as one stack through ``model.forward`` (batched
-    forwards); with ``tile_size`` each image is tiled and its tiles stack.
-    Each count is the one a single-image ``thresholded_count`` or
-    ``tiled_count`` call gives (the tests hold them equal bit for bit).
-    """
-    if len(corpus) == 0:
-        raise ValueError("cannot evaluate on an empty corpus")
+def predict_counts(model: CountModel, corpus: Corpus, kappa: float = 0.0) -> list[float]:
+    """Per-image predicted counts over a corpus, in corpus order, from
+    ``model.counts``: images larger than the model input are tiled, and
+    every tile of the corpus runs in one stacked forward."""
     samples = corpus.samples()
-    if tile_size is not None:
-        return [
-            model.tiled_count(s.scene.image, s.category_id, tile_size, kappa=kappa)
-            for s in samples
-        ]
-    return _stacked_counts(model, samples, (kappa,))[0]
-
-
-def _stacked_counts(model: CountModel, samples, kappas, images=None) -> list[list[float]]:
-    """One ``model.forward`` over the samples' images (or ``images``, one per
-    sample) as a stack; per kappa, each sample's ``count_above`` count."""
-    if not samples:
-        raise ValueError("cannot evaluate on an empty corpus")
-    if images is None:
-        images = [s.scene.image for s in samples]
-    y_cnt, y_cls = model.forward(np.stack(images), [s.category_id for s in samples])
-    return [[count_above(c, p, kappa) for c, p in zip(y_cnt, y_cls)] for kappa in kappas]
+    return model.counts(
+        [s.scene.image for s in samples], [s.category_id for s in samples], (kappa,)
+    )[0]
 
 
 def evaluate(
@@ -152,8 +127,10 @@ def evaluate(
     kappa: float = 0.0,
     tile_size: int | None = None,
 ) -> Metrics:
-    """Count-error metrics over a corpus; with ``tile_size`` each image is tiled."""
-    preds = predict_counts(model, corpus, kappa, tile_size)
+    """Count-error metrics from ``predict_counts``; ``tile_size``, if given, must be the input size."""
+    if tile_size not in (None, model.config.input_size):
+        raise ValueError("tile size must equal the model input size")
+    preds = predict_counts(model, corpus, kappa)
     return compute_metrics(preds, [s.scene.count(s.category_id) for s in corpus.samples()])
 
 

@@ -143,11 +143,9 @@ class ForwardPass:
 def count_above(y_cnt: np.ndarray, y_cls: np.ndarray, kappa: float) -> float:
     """Exact (fsum) count mass over the cells whose class probability exceeds ``kappa``.
 
-    The one thresholding rule: thresholded_count and the threshold sweep
-    both go through it, so a sweep's kappa=0 row equals evaluate bit for bit.
+    The one thresholding rule: every count goes through it in
+    ``CountModel.counts``, which checks that ``kappa`` lies in [0, 1).
     """
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError("kappa must lie in [0, 1)")
     return math.fsum(y_cnt[y_cls > kappa])
 
 
@@ -314,18 +312,50 @@ class CountModel:
 
     # -- inference-time counts ----------------------------------------------
 
+    def counts(self, images, category_id, kappas=(0.0,)) -> list[list[float]]:
+        """Per-image counts, one list per kappa: the one counting path.
+
+        ``images`` is a non-empty sequence of 2-d images, none smaller than
+        the input size n in either extent; ``category_id`` is one category
+        or one per image. Clip-and-aggregate: an image is padded at the
+        right and bottom with its own minimum (the darkest background
+        present) to whole n-by-n tiles, every tile of every image runs in
+        one stacked ``forward``, and an image's count at kappa is the exact
+        (fsum) sum of its tiles' ``count_above``. An n-by-n image is one
+        tile, so its count is its grid's ``count_above`` bit for bit.
+        """
+        if not kappas:
+            raise ValueError("kappas is empty: need at least one threshold")
+        if any(not 0.0 <= k < 1.0 for k in kappas):
+            raise ValueError(f"kappa must lie in [0, 1), got {tuple(kappas)}")
+        if len(images) == 0:
+            raise ValueError("no images to count")
+        n = self.config.input_size
+        tiles = []
+        for image in images:
+            arr = np.asarray(image, dtype=np.float64)
+            if arr.ndim != 2 or min(arr.shape) < n:
+                raise ValueError(f"image shape {arr.shape} does not match input size {n}")
+            h, w = arr.shape
+            nr, nc = -(-h // n), -(-w // n)
+            if (h, w) != (nr * n, nc * n):
+                arr = np.pad(arr, ((0, nr * n - h), (0, nc * n - w)), constant_values=arr.min())
+            tiles.append(arr.reshape(nr, n, nc, n).swapaxes(1, 2).reshape(nr * nc, n, n))
+        per_image = [len(t) for t in tiles]
+        cats = np.repeat(self._category_rows(category_id, len(tiles)), per_image)
+        y_cnt, y_cls = self.forward(np.concatenate(tiles), cats)
+        ends = np.cumsum(per_image).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        per_tile = [[count_above(c, p, k) for c, p in zip(y_cnt, y_cls)] for k in kappas]
+        return [[math.fsum(row[a:b]) for a, b in spans] for row in per_tile]
+
     def predict_count(self, image: np.ndarray, category_id: int) -> float:
-        """Total predicted count: exact sum over the cardinality grid."""
-        y_cnt, _ = self.forward(image, category_id)
-        return math.fsum(y_cnt.ravel())
+        """Total predicted count of one image: ``counts`` at kappa 0."""
+        return self.counts([image], category_id)[0][0]
 
     def thresholded_count(self, image: np.ndarray, category_id: int, kappa: float) -> float:
-        """Count over cells whose class probability exceeds ``kappa``.
-
-        Sums are exact (fsum), so the result is monotone non-increasing in
-        kappa and coincides bit-for-bit with predict_count at kappa=0.
-        """
-        return count_above(*self.forward(image, category_id), kappa)
+        """Count of one image over cells whose class probability exceeds ``kappa``."""
+        return self.counts([image], category_id, (kappa,))[0][0]
 
     def tiled_count(
         self,
@@ -334,24 +364,10 @@ class CountModel:
         tile_size: int | None = None,
         kappa: float = 0.0,
     ) -> float:
-        """Clip-and-aggregate counting for images larger than the input size.
-
-        The image is padded at the right/bottom borders (with its own
-        minimum, i.e. the darkest background present) to a whole number of
-        non-overlapping tiles, and per-tile counts are summed. The tiles
-        run as one stack through ``forward``.
-        """
-        tile = self.config.input_size if tile_size is None else tile_size
-        if tile != self.config.input_size:
+        """``thresholded_count``; ``tile_size``, if given, must be the input size."""
+        if tile_size not in (None, self.config.input_size):
             raise ValueError("tile size must equal the model input size")
-        arr = np.asarray(image, dtype=np.float64)
-        h, w = arr.shape
-        nr, nc = max(1, math.ceil(h / tile)), max(1, math.ceil(w / tile))
-        padded = np.full((nr * tile, nc * tile), arr.min(), dtype=np.float64)
-        padded[:h, :w] = arr
-        tiles = padded.reshape(nr, tile, nc, tile).swapaxes(1, 2).reshape(nr * nc, tile, tile)
-        y_cnt, y_cls = self.forward(tiles, category_id)
-        return math.fsum(count_above(c, p, kappa) for c, p in zip(y_cnt, y_cls))
+        return self.thresholded_count(image, category_id, kappa)
 
 
 class CheckpointError(ValueError):

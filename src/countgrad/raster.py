@@ -95,12 +95,6 @@ class Scene:
             return len(self.instances)
         return sum(1 for i in self.instances if i.category_id == category_id)
 
-    def category_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for inst in self.instances:
-            counts[inst.category_id] = counts.get(inst.category_id, 0) + 1
-        return counts
-
     def masks(self, category_id: int | None = None) -> list[InstanceMask]:
         """Masks of non-subpixel instances, optionally for one category."""
         return [

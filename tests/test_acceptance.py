@@ -34,6 +34,7 @@ from countgrad.harness import (
     size_class_drift,
     train_stage,
 )
+from countgrad.harness.blob import inverse_softplus
 from countgrad.losses import LossWeights, guidance_loss
 from countgrad.model import CountModel, ModelConfig, load_checkpoint, save_checkpoint
 from countgrad.raster import oracle_count_components
@@ -355,9 +356,8 @@ def test_criterion_2_gradient_fidelity(capfd):
     model = CountModel.create(
         ModelConfig(input_size=16, channels=(2, 3, 4), fused_channels=4, embed_dim=3, seed=2)
     )
-    params = init_blob_params(
-        np.random.default_rng(5), n_slots=4, n_on=2, canvas=16, radius=2.5
-    )
+    params = init_blob_params(np.random.default_rng(5), n_slots=4, n_on=2, canvas=16)
+    params = params.with_values({**params.as_dict(), "radius_raw": np.full(4, inverse_softplus(2.5))})
 
     def image_loss(p):
         fp = model.forward_on_tape(p.tape, p, 0, trainable=False)

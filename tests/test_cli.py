@@ -218,6 +218,22 @@ class TestTypedSections:
         assert main([command, cfg, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(message)
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("gen-data", "[scene]\nradius_max = nan\n", "error: [scene] radius_max: 'nan' is not"),
+            ("gen-data", "[scene]\nnoise_amplitude = inf\n",
+             "error: [scene] noise_amplitude: 'inf' is not"),
+            ("train", "[train]\nlr_heads = nan\n", "error: [train] lr_heads: 'nan' is not"),
+            ("guide", "[guide]\nq_req = nan\n", "error: [guide] q_req: 'nan' is not"),
+        ],
+        ids=["range", "scene", "train", "guide"],
+    )
+    def test_non_finite_value_names_section_and_key(self, tmp_path, capsys, command, text, message):
+        cfg = write_config(tmp_path, "bad.ini", text)
+        assert main([command, cfg, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(message + " a finite number")
+
 
 def readme_config_sections():
     """{section: documented keys} from the README's "Config sections and keys".
@@ -409,7 +425,7 @@ class TestEval:
         corpus_path = tmp_path / "c8" / "corpus.bin"
         cfg = write_config(tmp_path, "e8.ini", f"[eval]\ncheckpoint = {ckpt}\ncorpus = {corpus_path}\n")
         assert main(["eval", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert "image shape (2, 8, 8) does not match input size 16" in capsys.readouterr().err
+        assert "image shape (8, 8) does not match input size 16" in capsys.readouterr().err
 
 
 class TestExperimentCommands:

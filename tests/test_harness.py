@@ -154,12 +154,29 @@ class TestBatchedInference:
             assert predict_counts(model, corpus, kappa) == preds
             assert evaluate(model, corpus, kappa) == compute_metrics(preds, truths_of(corpus))
 
-    def test_tiled_evaluate_equals_per_image_tiled_count(self):
+    def test_mixed_size_corpus_equals_per_image_tiled_count(self):
+        # 64 and 128 px scenes in one corpus: their 11 tiles run as one stack,
+        # with chunks of IMAGES_PER_FORWARD that straddle images
+        small = mixed_corpus(3)
+        big = make_corpus(SceneSpec(image_size=128, count_range=(4, 20), seed=2), 2, first_id=100)
+        corpus = Corpus(small.spec, "test", small.items[:2] + big.items + small.items[2:])
+        model = CountModel.create()
+        for kappa in (0.0, 0.5):
+            preds = [model.tiled_count(s.scene.image, s.category_id, kappa=kappa) for s in corpus.samples()]
+            assert predict_counts(model, corpus, kappa) == preds
+            assert evaluate(model, corpus, kappa) == compute_metrics(preds, truths_of(corpus))
+
+    def test_tiled_evaluate_needs_no_tile_size(self):
         corpus = make_corpus(SceneSpec(image_size=128, count_range=(4, 20), seed=2), 3)
         model = CountModel.create()
-        preds = [model.tiled_count(s.scene.image, s.category_id, 64) for s in corpus.samples()]
-        assert predict_counts(model, corpus, tile_size=64) == preds
-        assert evaluate(model, corpus, tile_size=64) == compute_metrics(preds, truths_of(corpus))
+        assert evaluate(model, corpus) == evaluate(model, corpus, tile_size=64)
+        with pytest.raises(ValueError, match="tile size must equal the model input size"):
+            evaluate(model, corpus, tile_size=32)
+
+    def test_evaluate_rejects_images_smaller_than_input(self):
+        corpus = make_corpus(SceneSpec(image_size=32, count_range=(1, 4), seed=2), 2)
+        with pytest.raises(ValueError, match=r"image shape \(32, 32\) does not match input size 64"):
+            evaluate(CountModel.create(), corpus)
 
     @pytest.mark.parametrize("n", [1, 5, 6])
     def test_threshold_sweep_equals_per_image_count_above(self, n):
@@ -370,10 +387,11 @@ class TestBlobScene:
 
     def test_single_hard_blob_counted_by_oracle(self):
         rng = np.random.default_rng(1)
-        params = init_blob_params(rng, n_slots=1, n_on=1, radius=5.0)
+        params = init_blob_params(rng, n_slots=1, n_on=1)
         params = params.with_values(
             {
                 **params.as_dict(),
+                "radius_raw": np.array([blob.inverse_softplus(5.0)]),
                 "presence": np.array([30.0]),
                 "center_row": np.array([32.0]),
                 "center_col": np.array([32.0]),

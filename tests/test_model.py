@@ -274,6 +274,7 @@ class TestCounts:
         tiles = [big[i : i + 64, j : j + 64] for i in (0, 64) for j in (0, 64)]
         expect = math.fsum(model.predict_count(t, 0) for t in tiles)
         assert model.tiled_count(big, 0) == expect
+        assert model.predict_count(big, 0) == expect
 
     def test_tiled_pads_ragged_images(self):
         model = CountModel.create()
@@ -298,6 +299,29 @@ class TestCounts:
                 for j in range(0, nc * 64, 64)
             ]
             assert model.tiled_count(img, cat, kappa=kappa) == math.fsum(per_tile)
+
+    @pytest.mark.parametrize("shape", [(40, 40), (63, 64), (128, 60)])
+    def test_images_smaller_than_input_rejected(self, shape):
+        model = CountModel.create()
+        image = np.zeros(shape)
+        msg = rf"image shape \({shape[0]}, {shape[1]}\) does not match input size 64"
+        for count in (
+            lambda: model.predict_count(image, 0),
+            lambda: model.thresholded_count(image, 0, 0.5),
+            lambda: model.tiled_count(image, 0),
+        ):
+            with pytest.raises(ValueError, match=msg):
+                count()
+
+    def test_counts_rejects_no_images_and_bad_kappas(self):
+        model = CountModel.create()
+        image = np.zeros((64, 64))
+        with pytest.raises(ValueError, match="no images"):
+            model.counts([], 0)
+        with pytest.raises(ValueError, match="kappas is empty"):
+            model.counts([image], 0, ())
+        with pytest.raises(ValueError, match="kappa must lie"):
+            model.counts([image], 0, (0.2, -0.1))
 
     def test_tile_size_must_match_input(self):
         model = CountModel.create()
