@@ -16,7 +16,7 @@ The array primitives accept an optional leading batch axis, so one tape can
 carry a forward pass over a group of images (training records a few images
 per tape; see ``harness.train``). Memory is kept to what the backward pass
 needs: each node's rule retains only the operands its gradient uses (sums
-retain none, a convolution its padded input, a rectifier one bool mask),
+retain none, a convolution its im2col columns, a rectifier one bool mask),
 and :func:`backward` frees each interior gradient once it has propagated.
 
 A convolution layer is one node: :func:`conv2d` can add a per-channel bias
@@ -377,11 +377,11 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
     conv-bias-rectifier layer is one node; its values and gradients are
     those of ``leaky_relu(add(conv2d(x, kernel), bias), slope)`` bit for
     bit. Gradient rules are recorded for input, kernel and bias; the node
-    keeps the padded input only when the kernel needs a gradient (the
-    kernel gradient rebuilds the columns from it), and the rectifier's
-    bool mask. The input gradient is a transposed convolution at stride 1
-    and one GEMM per kernel tap otherwise (larger strides, or padding so
-    wide that some outputs see only zeros).
+    keeps the forward GEMM's im2col columns only when the kernel needs a
+    gradient (its gradient is one GEMM over them), and the rectifier's
+    bool mask. The input gradient needs only the kernel: a transposed
+    convolution at stride 1 and one GEMM per kernel tap otherwise (larger
+    strides, or padding so wide that some outputs see only zeros).
     """
     xv, kv = _values(x), _values(kernel)
     if xv.ndim not in (3, 4) or kv.ndim != 4:
@@ -407,8 +407,8 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
     in_shape = xv.shape
     tape = _tape_of(x, kernel, bias)
 
-    xp = _pad(xb, padding, padding)
-    out = (_im2col(xp, kh, kw, stride, ho, wo) @ kv.reshape(kh * kw * c, co)).reshape(b, ho, wo, co)
+    cols = _im2col(_pad(xb, padding, padding), kh, kw, stride, ho, wo)
+    out = (cols @ kv.reshape(kh * kw * c, co)).reshape(b, ho, wo, co)
     if not batched:
         out = out[0]
     if bv is not None:
@@ -438,7 +438,6 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
             return gxp[:, padding : padding + h, padding : padding + w].reshape(in_shape)
 
     def grad_kernel(g):
-        cols = _im2col(xp, kh, kw, stride, ho, wo)
         return (cols.T @ g.reshape(b * ho * wo, co)).reshape(kh, kw, c, co)
 
     def grad_bias(g):

@@ -153,10 +153,12 @@ class Corpus:
 
 
 def _place_instances(spec: SceneSpec, kinds: list[str], rng: np.random.Generator):
-    """Rejection-sample centers/sizes honoring the separation policy."""
+    """Rejection-sample one (kind, center, rho) per kind, honoring the separation policy."""
     size = spec.image_size
-    placed = []  # (kind, center, rho, circumradius)
-    for kind in kinds:
+    centers = np.empty((len(kinds), 2))
+    rhos = np.empty(len(kinds))
+    circums = np.empty(len(kinds))
+    for k, kind in enumerate(kinds):
         for _attempt in range(PLACEMENT_RETRIES):
             rho = rng.uniform(*spec.radius_range)
             # squares reach sqrt(2) farther at the corners
@@ -165,19 +167,18 @@ def _place_instances(spec: SceneSpec, kinds: list[str], rng: np.random.Generator
             if size - 1 - margin <= margin:
                 raise PlacementError(f"radius {rho:.2f} does not fit a {size}px canvas")
             center = rng.uniform(margin, size - 1 - margin, size=2)
-            ok = all(
-                np.hypot(*(center - c2)) >= spec.min_separation * (circum + cr2)
-                for _, c2, _, cr2 in placed
-            )
-            if ok:
-                placed.append((kind, center, rho, circum))
+            # one test against every instance placed so far
+            gap = center - centers[:k]
+            apart = np.hypot(gap[:, 0], gap[:, 1]) >= spec.min_separation * (circum + circums[:k])
+            if apart.all():
+                centers[k], rhos[k], circums[k] = center, rho, circum
                 break
         else:
             raise PlacementError(
-                f"could not place instance {len(placed) + 1}/{len(kinds)} "
+                f"could not place instance {k + 1}/{len(kinds)} "
                 f"after {PLACEMENT_RETRIES} attempts"
             )
-    return placed
+    return list(zip(kinds, centers, rhos))
 
 
 def _snap_point(mask: InstanceMask) -> tuple[int, int]:
@@ -202,7 +203,7 @@ def sample_scene(spec: SceneSpec, rng: np.random.Generator) -> SceneSample:
     placed = _place_instances(spec, kinds, rng)
     size = spec.image_size
     paints = []
-    for kind, center, rho, _ in placed:
+    for kind, center, rho in placed:
         intensity = rng.uniform(*spec.intensity_range)
         maker = disk_mask if kind == "disk" else square_mask
         paints.append(

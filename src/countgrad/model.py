@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,15 +46,19 @@ CHECKPOINT_VERSION = 1
 # chunks amortize the per-node Python dispatch and run bigger GEMMs, but a
 # forward holds its images' activations (a training tape until its backward
 # pass), so peak memory grows with the chunk. Benchmark workloads on 2 CPUs
-# (OpenBLAS, float64, 64 px input), images/s and peak RSS of the whole run:
-#   train, by images per tape:
-#     1: 236/s, 72 MB   2: 307/s, 75 MB   4: 374/s, 80 MB
-#     8: 387/s, 91 MB  16: 341/s, 112 MB
+# (OpenBLAS, float64, 64 px input), median scaled images/s of 3-7 runs and
+# peak RSS of the whole run:
+#   train, by images per tape (each conv node keeps its im2col columns):
+#     1: 273/s, 73 MB   2: 354/s, 76 MB   4: 403/s, 81 MB
+#     8: 359/s, 92 MB  16: 352/s, 115 MB
 #   infer, by images per frozen forward:
-#     4: 695/s, 80 MB   8: 674-688/s, 86 MB
+#     4: 812/s, 81 MB   8: 847/s, 93 MB
 # and one frozen forward alone, in ms per image:
 #     1: 1.21   2: 1.23   4: 0.67   8: 0.70
-# Four is within a few percent of the fastest at the least memory in both.
+# Four is the fastest for training and within a few percent of the fastest
+# for inference, at less memory. It also fixes how training sums gradients:
+# another value changes trained weights in the last bits, which early
+# stopping can turn into a different model.
 IMAGES_PER_FORWARD = 4
 
 
@@ -299,12 +304,17 @@ class CountModel:
         if np.ndim(image) != 3:
             out = self.forward_on_tape(ad.Tape(), image, category_id)
             return out.y_cnt, out.y_cls
-        cats = self._category_rows(category_id, len(image))
+        return self._forward_stack(image, self._category_rows(category_id, len(image)))
+
+    def _forward_stack(self, stack: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``forward`` of a finite (B, n, n) stack whose B category rows are validated."""
         k = IMAGES_PER_FORWARD
         chunks = [
-            self.forward_on_tape(ad.Tape(), image[i : i + k], cats[i : i + k])
-            for i in range(0, len(image), k)
+            self.forward_on_tape(ad.Tape(), stack[i : i + k], cats[i : i + k])
+            for i in range(0, len(stack), k)
         ]
+        if len(chunks) == 1:
+            return chunks[0].y_cnt, chunks[0].y_cls
         return (
             np.concatenate([c.y_cnt for c in chunks]),
             np.concatenate([c.y_cls for c in chunks]),
@@ -342,9 +352,12 @@ class CountModel:
                 arr = np.pad(arr, ((0, nr * n - h), (0, nc * n - w)), constant_values=arr.min())
             tiles.append(arr.reshape(nr, n, nc, n).swapaxes(1, 2).reshape(nr * nc, n, n))
         per_image = [len(t) for t in tiles]
+        stack = tiles[0] if len(tiles) == 1 else np.concatenate(tiles)
+        if not np.isfinite(stack).all():
+            raise ValueError("image values must be finite")
         cats = np.repeat(self._category_rows(category_id, len(tiles)), per_image)
-        y_cnt, y_cls = self.forward(np.concatenate(tiles), cats)
-        ends = np.cumsum(per_image).tolist()
+        y_cnt, y_cls = self._forward_stack(stack, cats)
+        ends = list(accumulate(per_image))
         spans = list(zip([0] + ends[:-1], ends))
         per_tile = [[count_above(c, p, k) for c, p in zip(y_cnt, y_cls)] for k in kappas]
         return [[math.fsum(row[a:b]) for a, b in spans] for row in per_tile]

@@ -6,6 +6,7 @@ known-good and deliberately broken gradients.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -447,6 +448,111 @@ class TestFusedConvLayer:
         x, k = np.zeros((4, 4, 1)), np.zeros((3, 3, 1, 2))
         with pytest.raises(ValueError, match=re.escape(f"bias shape {shape}") + ".*" + re.escape("(2,)")):
             ad.conv2d(x, k, bias=np.zeros(shape))
+
+
+def _columns(xp, kh, kw, stride, ho, wo):
+    """Contiguous (B*ho*wo, kh*kw*C) receptive fields of a padded (B, H, W, C) array."""
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    win = win[:, : stride * ho : stride, : stride * wo : stride].transpose(0, 1, 2, 4, 5, 3)
+    return np.ascontiguousarray(win).reshape(-1, kh * kw * xp.shape[-1])
+
+
+def _conv_reference(xv, kv, stride, padding, bv, slope, w):
+    """conv2d's values and its input, kernel and bias gradients for the loss sum(y * w).
+
+    Written in numpy apart from the tape, with the kernel gradient's rule
+    from before conv nodes kept their columns: it rebuilds the columns from
+    the padded input instead of reusing the forward GEMM's.
+    """
+    xb = xv if xv.ndim == 4 else xv[None]
+    b, h, wd, c = xb.shape
+    kh, kw, _, co = kv.shape
+
+    def pad(a, ph, pw):
+        return np.pad(a, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (wd + 2 * padding - kw) // stride + 1
+    z = (_columns(pad(xb, padding, padding), kh, kw, stride, ho, wo) @ kv.reshape(-1, co)).reshape(
+        b, ho, wo, co
+    )
+    if bv is not None:
+        z = z + bv
+    y = z if slope is None else np.maximum(z, slope * z)
+    g = w.reshape(b, ho, wo, co)
+    if slope is not None:
+        g = np.where(z > 0.0, g, g * slope)
+    gk = (_columns(pad(xb, padding, padding), kh, kw, stride, ho, wo).T @ g.reshape(-1, co)).reshape(
+        kv.shape
+    )
+    if stride == 1 and padding < min(kh, kw):
+        flipped = kv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, c)
+        gp = pad(g, kh - 1 - padding, kw - 1 - padding)
+        gx = (_columns(gp, kh, kw, 1, h, wd) @ flipped).reshape(xb.shape)
+    else:
+        gxp = np.zeros((b, h + 2 * padding, wd + 2 * padding, c))
+        for i in range(kh):
+            for j in range(kw):
+                tap = (g.reshape(-1, co) @ kv[i, j].T).reshape(b, ho, wo, c)
+                gxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += tap
+        gx = gxp[:, padding : padding + h, padding : padding + wd]
+    gb = g.sum(axis=(0, 1, 2))
+    return y.reshape(w.shape), gx.reshape(xv.shape), gk, gb
+
+
+class TestConvKeptColumns:
+    """A conv node whose kernel needs a gradient keeps its forward im2col columns."""
+
+    @pytest.mark.parametrize("extras", ["plain", "bias", "bias+slope"])
+    @pytest.mark.parametrize("ksize", [3, 1])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
+    def test_equals_the_rebuilding_reference_bit_for_bit(self, lead, stride, padding, ksize, extras):
+        rng = np.random.default_rng(90 + 4 * stride + 2 * padding + ksize)
+        xv = rng.normal(size=(*lead, 7, 6, 3))
+        kv = rng.normal(size=(ksize, ksize, 3, 4))
+        bv = rng.normal(size=(4,)) if extras != "plain" else None
+        slope = 0.1 if extras == "bias+slope" else None
+        ho = (7 + 2 * padding - ksize) // stride + 1
+        wo = (6 + 2 * padding - ksize) // stride + 1
+        w = rng.normal(size=(*lead, ho, wo, 4))
+
+        tape = ad.Tape()
+        x, k = ad.new_param(tape, xv), ad.new_param(tape, kv)
+        b = None if bv is None else ad.new_param(tape, bv)
+        y = ad.conv2d(x, k, stride=stride, padding=padding, bias=b, slope=slope)
+        grads = ad.backward(tape, ad.reduce_sum(ad.mul(y, w)))
+
+        ref_y, ref_gx, ref_gk, ref_gb = _conv_reference(xv, kv, stride, padding, bv, slope, w)
+        assert y.values.tobytes() == ref_y.tobytes()
+        assert grads.wrt(x).tobytes() == ref_gx.tobytes()
+        assert grads.wrt(k).tobytes() == ref_gk.tobytes()
+        if b is not None:
+            assert grads.wrt(b).tobytes() == ref_gb.tobytes()
+
+    @pytest.mark.parametrize("kernel_is_param", [False, True], ids=["constant", "parameter"])
+    def test_only_a_kernel_gradient_keeps_the_columns(self, kernel_is_param):
+        # guidance: the image is a parameter, the weights are constants
+        rng = np.random.default_rng(95)
+        xv = rng.normal(size=(4, 16, 16, 8))
+        kv = rng.normal(size=(3, 3, 8, 8))
+        cols_bytes = 4 * 16 * 16 * (3 * 3 * 8) * 8
+        tape = ad.Tape()
+        x = ad.new_param(tape, xv)
+        k = ad.new_param(tape, kv) if kernel_is_param else kv
+        tracemalloc.start()
+        try:
+            y = ad.conv2d(x, k, stride=1, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - y.values.nbytes
+        finally:
+            tracemalloc.stop()
+        if kernel_is_param:
+            assert tape._parents[y.node_id] == (x.node_id, k.node_id)
+            assert held >= cols_bytes
+        else:
+            assert tape._parents[y.node_id] == (x.node_id,)
+            assert held < cols_bytes // 8
 
 
 class TestSoftDisks:

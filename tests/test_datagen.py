@@ -1,5 +1,6 @@
 """Corpus generation: determinism, annotation invariants, serialization."""
 
+import hashlib
 import json
 import zlib
 
@@ -180,6 +181,24 @@ class TestCorpusIO:
         path = tmp_path / "c.corpus"
         write_corpus(corpus, path)
         assert corpora_equal(read_corpus(path), corpus)
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (SceneSpec(), "a3ba4093e68adee8efc03f580796249596253f309c4e186d7dbb8c6556c6aa9e"),
+            (
+                SceneSpec(count_range=(15, 40), radius_range=(1.5, 3.0), min_separation=0.9, seed=13),
+                "abbd8a47cb9ce775c7f3bdbabf053db10dbda3330e8af8c02c2bc381f124d8fa",
+            ),
+        ],
+        ids=["default", "dense-weak"],
+    )
+    def test_generated_corpus_bytes_are_pinned(self, tmp_path, spec, digest):
+        # any change to the rng draws, placement decisions, rendering or the
+        # file format of generation moves these digests
+        path = tmp_path / "pinned.corpus"
+        write_corpus(make_corpus(spec, 3), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_empty_corpus(self, tmp_path):
         corpus = Corpus(small_spec(), "test", ())
