@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "Tape",
@@ -281,15 +280,47 @@ def concat_channels(a: DiffArray, b: DiffArray) -> DiffArray:
     return _recorded(out, (a, lambda g: g[..., :ca]), (b, lambda g: g[..., ca:]))
 
 
+def _libm_exp(t: float) -> float:
+    try:
+        return math.exp(t)
+    except OverflowError:  # raised where libm's exp returns inf
+        return math.inf
+
+
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` with libm's ``exp``: ``scipy.special.expit``, bit for bit.
+
+    One branch: ``exp(-x)`` overflows to inf for x < -709.78, giving 0, and
+    falls below half an ulp of 1 for x > 36.7, giving 1. numpy's float64
+    ``exp`` is its own SIMD code and differs from libm in the last bit on a
+    few percent of inputs. Its complex ``exp`` calls C99 ``cexp``, whose
+    real part at a zero imaginary part is libm's ``exp``, except that glibc
+    rescales arguments above 709, landing 1 ulp off, and overflows above
+    709.78 with a warning. Elements with x < -709 therefore take
+    ``math.exp`` instead.
+    """
+    z = np.empty(x.shape, dtype=np.complex128)
+    np.negative(x, out=z)
+    low = x < -709.0
+    fix = np.count_nonzero(low)
+    if fix:
+        z[low] = 0.0
+    np.exp(z, out=z)
+    e = z.real
+    if fix:
+        e[low] = [_libm_exp(-t) for t in x[low]]
+    e += 1.0
+    return np.divide(1.0, e)
+
+
 def sigmoid(x: DiffArray) -> DiffArray:
-    # expit is the numerically stable two-branch logistic.
-    y = expit(_values(x))
+    y = _logistic(_values(x))
     return _recorded(y, (x, lambda g: g * y * (1.0 - y)))
 
 
 def softplus(x: DiffArray) -> DiffArray:
     xv = _values(x)
-    return _recorded(np.logaddexp(0.0, xv), (x, lambda g: g * expit(xv)))
+    return _recorded(np.logaddexp(0.0, xv), (x, lambda g: g * _logistic(xv)))
 
 
 def _rectify(z: np.ndarray, slope: float, tape: Tape | None, out=None):
@@ -461,7 +492,7 @@ def upsample_nearest(x: DiffArray, factor: int = 2) -> DiffArray:
 
 
 def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray:
-    """(n, n) sum over S soft-edged disks of ``height_s * expit((radius_s - |p - c_s|) / softness)``.
+    """(n, n) sum over S soft-edged disks of ``height_s * logistic((radius_s - |p - c_s|) / softness)``.
 
     ``rows``, ``cols``, ``radius`` and ``height`` are (S,) arrays; the
     centres ``c_s = (rows_s, cols_s)`` must lie in [0, n - 1]. The distance
@@ -469,7 +500,7 @@ def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray
     Slot s is evaluated only inside a (2h+1)² window centred on
     ``rint(c_s)``, with h = min(⌈max(radius) + 42·softness⌉, n − 1): every
     pixel left out lies more than h from the centre, where the edge term is
-    below expit(-42) ≈ 6e-19, and at h = n − 1 the window covers the whole
+    below logistic(-42) ≈ 6e-19, and at h = n − 1 the window covers the whole
     canvas. The windows sit on a canvas padded by h and are added into it
     slot by slot, in slot order. One node, with a gradient rule for each
     of the four operands.
@@ -492,7 +523,7 @@ def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray
     dc = ((ci[:, None] + offsets) - cv[:, None])[:, None, :]  # (S, 1, w)
     dist = np.sqrt(dr * dr + dc * dc + 1e-9)
     inv = 1.0 / softness
-    edge = expit(inv * (radv[:, None, None] - dist))
+    edge = _logistic(inv * (radv[:, None, None] - dist))
     padded = np.zeros((n + 2 * h, n + 2 * h))
     for r0, c0, disk in zip(ri, ci, edge * hv[:, None, None]):
         padded[r0 : r0 + w, c0 : c0 + w] += disk

@@ -55,6 +55,8 @@ CHECKPOINT_VERSION = 1
 #     4: 812/s, 81 MB   8: 847/s, 93 MB
 # and one frozen forward alone, in ms per image:
 #     1: 1.21   2: 1.23   4: 0.67   8: 0.70
+# Those peak RSS figures include about 19 MB that importing scipy added;
+# without scipy, 4 measured train 408/s at 62 MB and infer 770/s at 61 MB.
 # Four is the fastest for training and within a few percent of the fastest
 # for inference, at less memory. It also fixes how training sums gradients:
 # another value changes trained weights in the last bits, which early

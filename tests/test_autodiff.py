@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import expit  # test-only reference for the logistic
 
 from countgrad import autodiff as ad
 
@@ -581,6 +582,69 @@ class TestSoftDisks:
     def test_centres_outside_the_canvas_rejected(self, row, col):
         with pytest.raises(ValueError, match=r"centres must lie in \[0, 15\]"):
             ad.soft_disks(np.array([row]), np.array([col]), np.ones(1), np.ones(1), 16, 0.35)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _logistic_points():
+    """A dense grid over [-800, 800], the band where glibc's cexp rescales, and edge values."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = [0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1.7e308, -1.7e308, np.inf, -np.inf]
+    return np.concatenate(
+        [np.linspace(-800.0, 800.0, 1_600_001), np.linspace(-709.79, -708.99, 200_001), edges]
+    )
+
+
+@pytest.mark.filterwarnings("error")  # complex exp's overflow warning stays silenced
+class TestLogistic:
+    """Every logistic in the library is scipy's expit, bit for bit."""
+
+    def test_sigmoid_values(self):
+        x = _logistic_points()
+        np.testing.assert_array_equal(_bits(ad.sigmoid(x)), _bits(expit(x)))
+
+    def test_sigmoid_gradient(self):
+        x = _logistic_points()[:-2]  # parameters are finite
+        tape = ad.Tape()
+        p = ad.new_param(tape, x)
+        y = ad.sigmoid(p)
+        grad = ad.backward(tape, ad.reduce_sum(y)).wrt(p)
+        np.testing.assert_array_equal(_bits(y.values), _bits(expit(x)))
+        np.testing.assert_array_equal(_bits(grad), _bits(expit(x) * (1.0 - expit(x))))
+
+    def test_softplus_gradient(self):
+        x = _logistic_points()[:-2]
+        tape = ad.Tape()
+        p = ad.new_param(tape, x)
+        grad = ad.backward(tape, ad.reduce_sum(ad.softplus(p))).wrt(p)
+        np.testing.assert_array_equal(_bits(grad), _bits(expit(x)))
+
+    def test_nan_and_shapes(self):
+        assert np.isnan(ad.sigmoid(np.array([np.nan, 1.0]))[0])
+        assert float(ad.sigmoid(np.array(-709.5))) == expit(-709.5)
+        strided = np.linspace(-720.0, 720.0, 3 * 41 * 41).reshape(3, 41, 41)[:, ::2, 1:]
+        np.testing.assert_array_equal(_bits(ad.sigmoid(strided)), _bits(expit(strided)))
+
+    # the guidance regime, and a sharp edge whose windows reach x ≈ -900
+    @pytest.mark.parametrize("n, softness, radius", [(64, 0.35, [3.1, 5.6, 2.2]), (128, 0.02, [40.0, 9.5, 30.2])])
+    def test_soft_disks(self, monkeypatch, n, softness, radius):
+        operands = (np.array([2.3, 30.6, 61.2]), np.array([40.4, 5.8, 59.9]), np.array(radius),
+                    np.array([0.7, -0.4, 1.1]))
+        weights = np.random.default_rng(n).normal(size=(n, n))
+
+        def run():
+            tape = ad.Tape()
+            params = [ad.new_param(tape, v) for v in operands]
+            img = ad.soft_disks(*params, n, softness)
+            grads = ad.backward(tape, ad.reduce_sum(ad.mul(img, weights)))
+            return [img.values] + [grads.wrt(q) for q in params]
+
+        ours = run()
+        monkeypatch.setattr(ad, "_logistic", expit)
+        for a, b in zip(ours, run()):
+            np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
 class TestReductionsAndL1:

@@ -435,8 +435,6 @@ class TestBlobScene:
         assert params.n_slots == 12
         assert (params.presence > 0).sum() == 5
         assert params.center_row.min() > 0 and params.center_row.max() < 64
-        from scipy.special import expit
-
         assert np.allclose(np.logaddexp(0, params.radius_raw), 3.0, atol=1e-9)
 
     @pytest.mark.parametrize("name", ["presence", "center_row", "radius_raw"])

@@ -1,7 +1,11 @@
 """Scene construction, occlusion bookkeeping, rescaling, and the component oracle."""
 
+import re
+import time
+
 import numpy as np
 import pytest
+from scipy import ndimage  # test-only reference for the component oracle
 
 from countgrad.raster import (
     InstanceMask,
@@ -244,6 +248,84 @@ class TestOracle:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             oracle_count_components(np.zeros((4, 4)), 1.5)
+
+    @pytest.mark.parametrize("shape", [(3, 16, 16), (16,), ()])
+    def test_rejects_anything_but_one_2d_image(self, shape):
+        with pytest.raises(ValueError, match=rf"one 2-d image, got shape {re.escape(str(shape))}"):
+            oracle_count_components(np.zeros(shape), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_pixels(self, bad):
+        img = np.zeros((8, 8))
+        img[3, 4] = bad
+        with pytest.raises(ValueError, match="non-finite pixels"):
+            oracle_count_components(img, 0.5)
+
+
+def scipy_count(image, threshold):
+    return ndimage.label(image > threshold)[1]  # default structure: the 4-connected cross
+
+
+def serpentine(n):
+    """Every even row set, odd rows joined at alternating ends: one path through n²/2 pixels."""
+    img = np.zeros((n, n))
+    img[::2] = 1.0
+    img[1::4, -1] = 1.0
+    img[3::4, 0] = 1.0
+    return img
+
+
+class TestOracleMatchesScipyLabel:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_thresholded_images(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            h, w = rng.integers(1, 48, size=2)
+            noise = rng.random((h, w))
+            blobs = ndimage.gaussian_filter(noise, 1.5)
+            for img in (noise, blobs):
+                t = float(rng.choice([rng.uniform(0.05, 0.95), np.median(img)]))
+                assert oracle_count_components(img, t) == scipy_count(img, t)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (31, 32), (1, 17), (17, 1)])
+    def test_checkerboard_pixels_are_each_alone(self, shape):
+        img = (np.indices(shape).sum(axis=0) % 2).astype(float)
+        n = oracle_count_components(img, 0.5)
+        assert n == scipy_count(img, 0.5) == int(img.sum())
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_serpentine_is_one_component_in_bounded_time(self, transpose):
+        img = serpentine(64).T.copy() if transpose else serpentine(64)
+        assert img.sum() == 2080 and scipy_count(img, 0.5) == 1
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            assert oracle_count_components(img, 0.5) == 1
+            times.append(time.perf_counter() - t0)
+        # about 0.1-0.5 ms; a propagation one pixel per step would take ~2000 steps
+        assert min(times) < 0.01
+
+    @pytest.mark.parametrize(
+        "img, expected",
+        [
+            (np.zeros((0, 0)), 0),
+            (np.zeros((0, 5)), 0),
+            (np.zeros((9, 9)), 0),
+            (np.ones((9, 9)), 1),
+            (np.ones((1, 1)), 1),
+            (np.zeros((1, 1)), 0),
+            (np.pad(np.ones((1, 1)), ((3, 4), (5, 2))), 1),
+        ],
+    )
+    def test_empty_full_and_single_pixel(self, img, expected):
+        assert oracle_count_components(img, 0.5) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strips(self, seed):
+        rng = np.random.default_rng(seed)
+        row = rng.random((1, 200))
+        for img in (row, row.T, np.ones((1, 50)), np.ones((50, 1))):
+            assert oracle_count_components(img, 0.5) == scipy_count(img, 0.5)
 
 
 class TestPointAnnotations:
