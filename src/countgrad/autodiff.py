@@ -18,6 +18,9 @@ per tape; see ``harness.train``). Memory is kept to what the backward pass
 needs: each node's rule retains only the operands its gradient uses (sums
 retain none, a convolution its im2col columns, a rectifier one bool mask),
 and :func:`backward` frees each interior gradient once it has propagated.
+Importing the module fixes glibc's malloc thresholds, process-wide, so
+that the arrays a step frees are reused by the next one rather than given
+back to the kernel (``_pin_malloc_thresholds``).
 
 A convolution layer is one node: :func:`conv2d` can add a per-channel bias
 and apply the leaky ReLU in place on its GEMM output. The rectifier, there
@@ -32,7 +35,9 @@ rule for centres, radii and heights.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +70,31 @@ __all__ = [
     "backward",
     "grad_check",
 ]
+
+# A training step allocates and frees its tape's arrays, up to several MB
+# each. glibc's malloc adapts its mmap and trim thresholds to the sizes freed
+# so far, so depending on what the process allocated before, those arrays
+# are either reused from the heap or mapped, faulted in page by page and
+# given back to the kernel on every step: about 300,000 page faults per
+# benchmark train request and 30% more time (2 CPUs), in some processes and
+# not others. Fixing both thresholds at glibc's adaptive ceiling on 64-bit
+# (mmap above 32 MB, trim above twice that) makes every process reuse them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _pin_malloc_thresholds() -> None:
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no C library with mallopt
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+_pin_malloc_thresholds()
 
 
 class Tape:

@@ -5,8 +5,13 @@ random points chosen away from kinks. The checker itself is exercised on
 known-good and deliberately broken gradients.
 """
 
+import os
+import platform
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -858,3 +863,36 @@ class TestGradCheckHarness:
 
         res = ad.grad_check(fn, rng.normal(size=(8, 8, 1)))
         assert res.max_rel_error <= 1e-5
+
+
+STEP_FAULTS = """
+import resource
+import numpy as np
+import countgrad
+
+
+def step():  # a training step in miniature: 8 MB of arrays made, then freed
+    arrays = [np.ones(1 << 17) for _ in range(8)]
+    del arrays
+
+
+np.ones(1 << 17)  # freeing one 1 MB array moves glibc's adaptive thresholds to 1 and 2 MB
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc thresholds are glibc's")
+def test_freed_step_arrays_are_reused_not_refaulted():
+    # Without the pinned thresholds the heap top is trimmed after every step
+    # and refilled page by page: about 2,000 faults per step.
+    src = Path(ad.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", STEP_FAULTS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
