@@ -226,12 +226,16 @@ def guide_optimize(
 ) -> tuple[BlobSceneParams, list[GuidanceRecord]]:
     """Drive the blob latents toward the requested count through a frozen model.
 
-    The model enters every forward as constants, so its weights cannot
-    change. Descends guidance loss with Adam over the ``STEERED`` latents;
-    the rest keep their initial values. Stops at the step budget or once
-    the best loss has not improved by more than ``PLATEAU_DELTA`` for
-    plateau_patience consecutive steps. Returns the best-loss parameters
-    and the full (step, loss, predicted count) trajectory.
+    The model's weights enter as constants, so they cannot change. Each
+    step evaluates only what the guidance loss reads: the trunk and count
+    head of the rendered image (``CountModel.count_on_tape``), with the
+    category conditioning built once for the whole run; the
+    classification head never runs. Descends guidance loss with Adam over
+    the ``STEERED`` latents; the rest keep their initial values. Stops at
+    the step budget or once the best loss has not improved by more than
+    ``PLATEAU_DELTA`` for plateau_patience consecutive steps. Returns the
+    best-loss parameters and the full (step, loss, predicted count)
+    trajectory.
     """
     values = {k: v.copy() for k, v in params.as_dict().items()}
     opt = Adam({k: STEP_SIZE for k in STEERED})
@@ -239,15 +243,16 @@ def guide_optimize(
     best_loss = math.inf
     best_values = {k: v.copy() for k, v in values.items()}
     stale = 0
+    conditioning = model.frozen_conditioning(category_id)
 
     for step in range(gcfg.max_steps):
         tape = ad.Tape()
         # Frozen latents stay plain arrays, so their chains fold to constants.
         nodes = {k: ad.new_param(tape, values[k]) for k in STEERED}
         image = render_blob_scene(tape, params, {**values, **nodes})
-        fp = model.forward_on_tape(tape, image, category_id, trainable=False)
-        count = float(fp.y_cnt.values.sum())
-        loss = guidance_loss(fp.y_cnt, gcfg.q_req)
+        y_cnt = model.count_on_tape(image, conditioning)
+        count = float(y_cnt.values.sum())
+        loss = guidance_loss(y_cnt, gcfg.q_req)
         loss_v = float(loss.values)
         if not math.isfinite(loss_v):
             raise TrainingDivergence(f"guidance loss became non-finite at step {step}")

@@ -5,7 +5,11 @@ embedding gates trunk channels through sigmoid attention, one top-down pass
 refines the gated features, and two parallel heads emit per-cell outputs at
 1/8 input resolution: a softplus cardinality grid (never negative) and a
 sigmoid class-probability grid from a scaled inner product between cell
-features and the projected embedding.
+features and the projected embedding. ``forward_on_tape`` composes four
+parts (category conditioning, trunk through the fuse layer, count head,
+class head). A guidance step reads only the count grid of one image, so
+``count_on_tape`` runs the trunk and count head alone, from the category
+conditioning that ``frozen_conditioning`` builds once per run.
 
 Checkpoints are single files: a JSON echo of the config, then named
 float64 weight blocks in declaration order, inside the envelope (magic,
@@ -19,6 +23,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ __all__ = [
     "ModelConfig",
     "CountModel",
     "ForwardPass",
+    "Conditioning",
     "IMAGES_PER_FORWARD",
     "count_above",
     "save_checkpoint",
@@ -147,6 +153,21 @@ class ForwardPass:
     params: dict[str, ad.DiffArray] | None = None
 
 
+class Conditioning(NamedTuple):
+    """Per-row category conditioning: sigmoid trunk gates at the two deep
+    scales, shaped (b, 1, 1, channels) to broadcast, and the class query
+    vector each row's cells are scored against."""
+
+    gate2: ad.DiffArray | np.ndarray
+    gate3: ad.DiffArray | np.ndarray
+    cls_query: ad.DiffArray | np.ndarray
+
+
+def _block(w, h, name: str, stride: int):
+    """Conv layer ``name`` of the weights ``w``: conv, bias and leaky ReLU as one tape node."""
+    return ad.conv2d(h, w[f"{name}_k"], stride=stride, padding=1, bias=w[f"{name}_b"], slope=0.1)
+
+
 def count_above(y_cnt: np.ndarray, y_cls: np.ndarray, kappa: float) -> float:
     """Exact (fsum) count mass over the cells whose class probability exceeds ``kappa``.
 
@@ -218,6 +239,17 @@ class CountModel:
             raise ValueError(f"unknown category {category_id}")
         return cats
 
+    def _input_rows(self, image) -> tuple[int, tuple[int, ...]]:
+        """Rows of an (n, n) image or (B, n, n) batch, and the shape of its output grids."""
+        n = self.config.input_size
+        shape = image.shape if isinstance(image, ad.DiffArray) else np.shape(image)
+        if len(shape) not in (2, 3) or tuple(shape[-2:]) != (n, n):
+            raise ValueError(f"image shape {shape} does not match input size {n}")
+        g = self.config.grid_size
+        if len(shape) == 2:
+            return 1, (g, g)
+        return shape[0], (shape[0], g, g)
+
     def forward_on_tape(
         self,
         tape: ad.Tape,
@@ -229,68 +261,100 @@ class CountModel:
 
         ``image`` is (n, n) for one image or (B, n, n) for a batch, either a
         plain array, which enters as a constant, or a DiffArray already on
-        ``tape`` (the guidance path). ``category_id`` is one category for
-        every row or a sequence of B, one per row. Rows never interact, so
-        a batch's outputs are its rows' single-image outputs up to float64
-        rounding. There is one network definition: ``trainable`` only
-        chooses whether the weights enter as parameters, registered on the
-        tape and returned for gradient reads, or as constants. Constants
-        fold (see ``autodiff``), so a frozen forward records only the
-        image-dependent work, and nothing at all for a constant image.
+        ``tape``. ``category_id`` is one category for every row or a
+        sequence of B, one per row. Rows never interact, so a batch's
+        outputs are its rows' single-image outputs up to float64 rounding.
+        There is one network definition: ``trainable`` only chooses whether
+        the weights enter as parameters, registered on the tape and
+        returned for gradient reads, or as constants. Constants fold (see
+        ``autodiff``), so a frozen forward records only the image-dependent
+        work, and nothing at all for a constant image.
         """
-        cfg = self.config
-        n = cfg.input_size
-        shape = image.shape if isinstance(image, ad.DiffArray) else np.shape(image)
-        if len(shape) not in (2, 3) or tuple(shape[-2:]) != (n, n):
-            raise ValueError(f"image shape {shape} does not match input size {n}")
-        single = len(shape) == 2
-        b = 1 if single else shape[0]
+        n = self.config.input_size
+        b, out_shape = self._input_rows(image)
         cats = self._category_rows(category_id, b)
-
         x = ad.reshape(image, (b, n, n, 1))
         params = {k: ad.new_param(tape, v) for k, v in self.weights.items()} if trainable else None
-        w = params if trainable else self.weights
+        y_cnt, y_cls = self._network(params if trainable else self.weights, x, cats, out_shape)
+        return ForwardPass(y_cnt, y_cls, params)
 
-        c2, c3 = cfg.channels[1:]
+    def frozen_conditioning(self, category_id: int) -> Conditioning:
+        """One category's conditioning through the frozen weights, for ``count_on_tape``.
+
+        It depends only on the category and the weights, so a guidance run
+        builds it once and reuses it at every step.
+        """
+        return self._conditioning(self.weights, self._category_rows(category_id, 1))
+
+    def count_on_tape(self, image, conditioning: Conditioning):
+        """The count grid alone of ``forward_on_tape`` with frozen weights.
+
+        ``image`` is checked as ``forward_on_tape`` checks it, and every row
+        takes ``conditioning`` (from ``frozen_conditioning``). Only the
+        trunk and the count head run, so a DiffArray image records what
+        the count gradient needs and no classification head; the grid is
+        ``forward_on_tape(...).y_cnt`` bit for bit.
+        """
+        n = self.config.input_size
+        b, out_shape = self._input_rows(image)
+        w = self.weights
+        fused = self._trunk(w, ad.reshape(image, (b, n, n, 1)), conditioning)
+        return self._count_grid(w, _block(w, fused, "head_cnt", 2), out_shape)
+
+    # The network's parts, over the weights ``w`` (parameters or plain
+    # arrays) and rows whose shapes and categories are already checked.
+    # Each head is its 3x3 conv (``_block``) followed by its grid.
+
+    def _network(self, w, x, cats, out_shape):
+        """(count grid, class grid) of the (b, n, n, 1) input ``x`` with one category per row."""
+        cond = self._conditioning(w, cats)
+        fused = self._trunk(w, x, cond)
+        # node order: both head convolutions, then the count grid, then the
+        # class chain; a training tape's peak memory depends on it
+        f_cnt = _block(w, fused, "head_cnt", 2)
+        f_cls = _block(w, fused, "head_cls", 2)
+        return self._count_grid(w, f_cnt, out_shape), self._class_grid(w, f_cls, cond, out_shape)
+
+    def _conditioning(self, w, cats) -> Conditioning:
+        """Each row's category embedding as sigmoid channel gates and a class query."""
+        b = len(cats)
+        c2, c3 = self.config.channels[1:]
         emb = ad.take_index(w["embed"], cats)
         gate2 = ad.sigmoid(ad.add(ad.matvec(w["attn2_w"], emb), w["attn2_b"]))
         gate3 = ad.sigmoid(ad.add(ad.matvec(w["attn3_w"], emb), w["attn3_b"]))
         gate2, gate3 = ad.reshape(gate2, (b, 1, 1, c2)), ad.reshape(gate3, (b, 1, 1, c3))
         cls_query = ad.add(ad.matvec(w["cls_proj_w"], emb), w["cls_proj_b"])
+        return Conditioning(gate2, gate3, cls_query)
 
-        def block(h, name, stride):
-            # conv, bias and leaky ReLU as one tape node
-            return ad.conv2d(
-                h, w[f"{name}_k"], stride=stride, padding=1, bias=w[f"{name}_b"], slope=0.1
-            )
-
-        h1 = block(x, "stage1", 2)
-        h2 = block(h1, "stage2", 2)
-        h3 = block(h2, "stage3", 2)
+    def _trunk(self, w, x, cond: Conditioning):
+        """Three stride-2 stages, the category gates, and the fuse layer at 1/4 scale."""
+        h1 = _block(w, x, "stage1", 2)
+        h2 = _block(w, h1, "stage2", 2)
+        h3 = _block(w, h2, "stage3", 2)
 
         # category conditioning: per-channel sigmoid gates on both scales
-        h2g = ad.mul(h2, gate2)
-        h3g = ad.mul(h3, gate3)
+        h2g = ad.mul(h2, cond.gate2)
+        h3g = ad.mul(h3, cond.gate3)
 
         # one top-down refinement pass: upsample deep features onto mid scale
-        fused = block(ad.concat_channels(h2g, ad.upsample_nearest(h3g, 2)), "fuse", 1)
+        return _block(w, ad.concat_channels(h2g, ad.upsample_nearest(h3g, 2)), "fuse", 1)
 
-        f_cnt = block(fused, "head_cnt", 2)
-        f_cls = block(fused, "head_cls", 2)
-
-        g = cfg.grid_size
-        out_shape = (g, g) if single else (b, g, g)
-        y_cnt = ad.reshape(
-            ad.softplus(ad.conv2d(f_cnt, w["cnt_out_k"], bias=w["cnt_out_b"])),
-            out_shape,
+    def _count_grid(self, w, f_cnt, out_shape):
+        """Softplus cardinality grid from the count head's conv features."""
+        return ad.reshape(
+            ad.softplus(ad.conv2d(f_cnt, w["cnt_out_k"], bias=w["cnt_out_b"])), out_shape
         )
-        # each row's cells against its own category's query vector
-        cell_feats = ad.reshape(f_cls, (b, g * g, cfg.fused_channels))
+
+    def _class_grid(self, w, f_cls, cond: Conditioning, out_shape):
+        """Class-probability grid from the class head's conv features: each
+        row's cells against its own category's query vector."""
+        g = self.config.grid_size
+        cell_feats = ad.reshape(f_cls, (-1, g * g, self.config.fused_channels))
         logits = ad.add(
-            ad.mul(ad.matvec(cell_feats, cls_query), w["cls_logit_scale"]), w["cls_logit_bias"]
+            ad.mul(ad.matvec(cell_feats, cond.cls_query), w["cls_logit_scale"]),
+            w["cls_logit_bias"],
         )
-        y_cls = ad.reshape(ad.sigmoid(logits), out_shape)
-        return ForwardPass(y_cnt, y_cls, params)
+        return ad.reshape(ad.sigmoid(logits), out_shape)
 
     def forward(self, image: np.ndarray, category_id) -> tuple[np.ndarray, np.ndarray]:
         """Plain-array forward: (cardinality grid, class-probability grid).
@@ -306,20 +370,24 @@ class CountModel:
         if np.ndim(image) != 3:
             out = self.forward_on_tape(ad.Tape(), image, category_id)
             return out.y_cnt, out.y_cls
-        return self._forward_stack(image, self._category_rows(category_id, len(image)))
+        cats = self._category_rows(category_id, len(image))
+        self._input_rows(image)
+        return self._forward_stack(image, cats)
 
     def _forward_stack(self, stack: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``forward`` of a finite (B, n, n) stack whose B category rows are validated."""
-        k = IMAGES_PER_FORWARD
-        chunks = [
-            self.forward_on_tape(ad.Tape(), stack[i : i + k], cats[i : i + k])
-            for i in range(0, len(stack), k)
-        ]
+        k, n, g = IMAGES_PER_FORWARD, self.config.input_size, self.config.grid_size
+        chunks = []
+        for i in range(0, len(stack), k):
+            chunk = stack[i : i + k]
+            b = len(chunk)
+            x = ad.reshape(chunk, (b, n, n, 1))
+            chunks.append(self._network(self.weights, x, cats[i : i + k], (b, g, g)))
         if len(chunks) == 1:
-            return chunks[0].y_cnt, chunks[0].y_cls
+            return chunks[0]
         return (
-            np.concatenate([c.y_cnt for c in chunks]),
-            np.concatenate([c.y_cls for c in chunks]),
+            np.concatenate([c[0] for c in chunks]),
+            np.concatenate([c[1] for c in chunks]),
         )
 
     # -- inference-time counts ----------------------------------------------

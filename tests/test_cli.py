@@ -449,17 +449,18 @@ class TestExperimentCommands:
         assert (out / "size_class_drift.csv").exists()
 
     def test_size_bias_by_class_predicts_once(self, trained, tmp_path, monkeypatch):
-        # 14 scenes run as 4 forwards (4+4+4+2) at each of ratios 1, 2 and 3
+        # 14 scenes run as 4 network evaluations (4+4+4+2) at each of ratios
+        # 1, 2 and 3; every evaluation, on a tape or not, is one _network call
         _, ckpt, _, _ = trained
         corpus = gen_corpus(tmp_path, "sb14", n=14, split="test")
         calls = []
-        forward_on_tape = CountModel.forward_on_tape
+        network = CountModel._network
 
         def counted(self, *args, **kwargs):
             calls.append(1)
-            return forward_on_tape(self, *args, **kwargs)
+            return network(self, *args, **kwargs)
 
-        monkeypatch.setattr(CountModel, "forward_on_tape", counted)
+        monkeypatch.setattr(CountModel, "_network", counted)
         cfg = write_config(
             tmp_path,
             "sb14.ini",

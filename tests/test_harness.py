@@ -593,6 +593,37 @@ class TestGuideOptimize:
         for name in before:
             np.testing.assert_array_equal(model.weights[name], before[name])
 
+    @staticmethod
+    def spy_backward(monkeypatch):
+        """Tape sizes of every backward pass guidance runs, one per optimizer step."""
+        sizes, backward = [], ad.backward
+
+        def spy(tape, seed):
+            sizes.append(len(tape))
+            return backward(tape, seed)
+
+        monkeypatch.setattr(ad, "backward", spy)
+        return sizes
+
+    def test_step_records_render_and_count_path_only(self, monkeypatch):
+        # 3 latent leaves, 7 render nodes, 13 trunk and count-head nodes and
+        # 2 loss nodes; the class head's 7 nodes are never recorded
+        sizes = self.spy_backward(monkeypatch)
+        params = init_blob_params(np.random.default_rng(8), n_slots=12, n_on=4)
+        guide_optimize(CountModel.create(), params, GuidanceConfig(q_req=6.0, max_steps=3))
+        assert sizes == [25, 25, 25]
+
+    def test_bad_category_or_canvas_fails_before_first_step(self, monkeypatch):
+        sizes = self.spy_backward(monkeypatch)
+        model = CountModel.create()
+        params = init_blob_params(np.random.default_rng(9), n_slots=4, n_on=2)
+        with pytest.raises(ValueError, match="unknown category 5"):
+            guide_optimize(model, params, GuidanceConfig(q_req=3.0, max_steps=4), category_id=5)
+        small = init_blob_params(np.random.default_rng(9), n_slots=4, n_on=2, canvas=32)
+        with pytest.raises(ValueError, match=r"image shape \(32, 32\) does not match input size 64"):
+            guide_optimize(model, small, GuidanceConfig(q_req=3.0, max_steps=4))
+        assert sizes == []
+
     def test_already_converged_stops_at_patience(self):
         model = CountModel.create()
         params = init_blob_params(np.random.default_rng(5), n_slots=4, n_on=2)

@@ -48,6 +48,14 @@ class TestForward:
             model.forward(np.zeros((32, 32)), 0)
         with pytest.raises(ValueError):
             model.forward(np.zeros((64, 64)), 5)
+        # a stack's shape is checked once, before its chunks run
+        with pytest.raises(ValueError, match=r"image shape \(5, 32, 32\) does not match"):
+            model.forward(np.zeros((5, 32, 32)), 0)
+        # guidance's count-only path checks its category and image alike
+        with pytest.raises(ValueError, match="unknown category 5"):
+            model.frozen_conditioning(5)
+        with pytest.raises(ValueError, match=r"image shape \(32, 32\) does not match input size 64"):
+            model.count_on_tape(np.zeros((32, 32)), model.frozen_conditioning(0))
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_image_rejected(self, bad):
@@ -152,6 +160,33 @@ class TestForward:
         tape = ad.Tape()
         model.forward_on_tape(tape, ad.new_param(tape, np.zeros((16, 16))), 0)
         assert len(tape) == 21
+
+    @pytest.mark.parametrize("cat", [0, 1])
+    def test_count_on_tape_equals_forward_count_grid_bitwise(self, cat):
+        # guidance's count-only path: same grid and image gradient, no class head
+        model = CountModel.create(SMALL)
+        img = np.random.default_rng(11 + cat).uniform(0.2, 0.8, (16, 16))
+        weights = np.random.default_rng(12).normal(size=(2, 2))
+        cond = model.frozen_conditioning(cat)
+
+        def grid_and_grad(count_grid):
+            tape = ad.Tape()
+            x = ad.new_param(tape, img)
+            y_cnt = count_grid(x)
+            grad = ad.backward(tape, ad.reduce_sum(ad.mul(y_cnt, weights))).wrt(x)
+            return y_cnt.values, grad, len(tape)
+
+        ref, ref_grad, ref_nodes = grid_and_grad(lambda x: model.forward_on_tape(x.tape, x, cat).y_cnt)
+        got, got_grad, got_nodes = grid_and_grad(lambda x: model.count_on_tape(x, cond))
+        assert got.tobytes() == ref.tobytes()
+        assert got_grad.tobytes() == ref_grad.tobytes()
+        assert np.abs(got_grad).max() > 0.0
+        # image leaf, forward and two loss nodes; the count path records
+        # neither the class head's conv nor its 6-node chain
+        assert (ref_nodes, got_nodes) == (23, 16)
+        stack = np.stack([img, img[::-1], img.T])
+        plain = model.count_on_tape(stack, cond)
+        assert plain.tobytes() == model.forward_on_tape(ad.Tape(), stack, cat).y_cnt.tobytes()
 
     def test_repeated_forward_stays_finite(self):
         model = CountModel.create(SMALL)
