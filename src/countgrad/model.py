@@ -9,7 +9,9 @@ features and the projected embedding. ``forward_on_tape`` composes four
 parts (category conditioning, trunk through the fuse layer, count head,
 class head). A guidance step reads only the count grid of one image, so
 ``count_on_tape`` runs the trunk and count head alone, from the category
-conditioning that ``frozen_conditioning`` builds once per run.
+conditioning that ``frozen_conditioning`` builds once per run. Likewise a
+count at kappa 0 applies no class filter, so ``counts`` runs the class
+head only when some kappa is above 0.
 
 Checkpoints are single files: a JSON echo of the config, then named
 float64 weight blocks in declaration order, inside the envelope (magic,
@@ -57,12 +59,14 @@ CHECKPOINT_VERSION = 1
 #   train, by images per tape (each conv node keeps its im2col columns):
 #     1: 273/s, 73 MB   2: 354/s, 76 MB   4: 403/s, 81 MB
 #     8: 359/s, 92 MB  16: 352/s, 115 MB
-#   infer, by images per frozen forward:
+#   infer, by images per frozen forward, with both heads run for every count:
 #     4: 812/s, 81 MB   8: 847/s, 93 MB
-# and one frozen forward alone, in ms per image:
+# and one frozen forward alone (both heads), in ms per image:
 #     1: 1.21   2: 1.23   4: 0.67   8: 0.70
 # Those peak RSS figures include about 19 MB that importing scipy added;
 # without scipy, 4 measured train 408/s at 62 MB and infer 770/s at 61 MB.
+# With kappa-0 counts running the count head alone (no scipy, seeds 1-3):
+#   infer  4: 896/s, 63 MB   8: 891/s, 74 MB
 # Four is the fastest for training and within a few percent of the fastest
 # for inference, at less memory. It also fixes how training sums gradients:
 # another value changes trained weights in the last bits, which early
@@ -168,12 +172,16 @@ def _block(w, h, name: str, stride: int):
     return ad.conv2d(h, w[f"{name}_k"], stride=stride, padding=1, bias=w[f"{name}_b"], slope=0.1)
 
 
-def count_above(y_cnt: np.ndarray, y_cls: np.ndarray, kappa: float) -> float:
+def count_above(y_cnt: np.ndarray, y_cls: np.ndarray | None, kappa: float) -> float:
     """Exact (fsum) count mass over the cells whose class probability exceeds ``kappa``.
 
-    The one thresholding rule: every count goes through it in
-    ``CountModel.counts``, which checks that ``kappa`` lies in [0, 1).
+    Kappa 0 filters no cell: the count is the fsum of the whole cardinality
+    grid, and ``y_cls`` is not read (it may be None). The one thresholding
+    rule: every count goes through it in ``CountModel.counts``, which checks
+    that ``kappa`` lies in [0, 1).
     """
+    if kappa == 0.0:
+        return math.fsum(y_cnt.ravel())
     return math.fsum(y_cnt[y_cls > kappa])
 
 
@@ -275,7 +283,8 @@ class CountModel:
         cats = self._category_rows(category_id, b)
         x = ad.reshape(image, (b, n, n, 1))
         params = {k: ad.new_param(tape, v) for k, v in self.weights.items()} if trainable else None
-        y_cnt, y_cls = self._network(params if trainable else self.weights, x, cats, out_shape)
+        w = params if trainable else self.weights
+        y_cnt, y_cls = self._network(w, x, self._conditioning(w, cats), out_shape)
         return ForwardPass(y_cnt, y_cls, params)
 
     def frozen_conditioning(self, category_id: int) -> Conditioning:
@@ -297,21 +306,23 @@ class CountModel:
         """
         n = self.config.input_size
         b, out_shape = self._input_rows(image)
-        w = self.weights
-        fused = self._trunk(w, ad.reshape(image, (b, n, n, 1)), conditioning)
-        return self._count_grid(w, _block(w, fused, "head_cnt", 2), out_shape)
+        x = ad.reshape(image, (b, n, n, 1))
+        return self._network(self.weights, x, conditioning, out_shape, classes=False)[0]
 
     # The network's parts, over the weights ``w`` (parameters or plain
     # arrays) and rows whose shapes and categories are already checked.
     # Each head is its 3x3 conv (``_block``) followed by its grid.
 
-    def _network(self, w, x, cats, out_shape):
-        """(count grid, class grid) of the (b, n, n, 1) input ``x`` with one category per row."""
-        cond = self._conditioning(w, cats)
+    def _network(self, w, x, cond: Conditioning, out_shape, classes: bool = True):
+        """(count grid, class grid) of the (b, n, n, 1) input ``x``, row i
+        conditioned by row i of ``cond``. Without ``classes`` the class head
+        does not run and the class grid is None."""
         fused = self._trunk(w, x, cond)
         # node order: both head convolutions, then the count grid, then the
         # class chain; a training tape's peak memory depends on it
         f_cnt = _block(w, fused, "head_cnt", 2)
+        if not classes:
+            return self._count_grid(w, f_cnt, out_shape), None
         f_cls = _block(w, fused, "head_cls", 2)
         return self._count_grid(w, f_cnt, out_shape), self._class_grid(w, f_cls, cond, out_shape)
 
@@ -374,21 +385,27 @@ class CountModel:
         self._input_rows(image)
         return self._forward_stack(image, cats)
 
-    def _forward_stack(self, stack: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``forward`` of a finite (B, n, n) stack whose B category rows are validated."""
+    def _forward_stack(self, stack: np.ndarray, cats: np.ndarray, classes: bool = True):
+        """``forward`` of a finite (B, n, n) stack whose B category rows are validated.
+
+        The conditioning is built once over all B rows, and each chunk
+        takes its rows of it; rows never interact, so that is bit for bit
+        the per-chunk conditioning. Without ``classes`` only the trunk and
+        the count head run, and the class grid is None.
+        """
         k, n, g = IMAGES_PER_FORWARD, self.config.input_size, self.config.grid_size
+        w = self.weights
+        cond = self._conditioning(w, cats)
         chunks = []
         for i in range(0, len(stack), k):
             chunk = stack[i : i + k]
             b = len(chunk)
-            x = ad.reshape(chunk, (b, n, n, 1))
-            chunks.append(self._network(self.weights, x, cats[i : i + k], (b, g, g)))
+            rows = Conditioning(*(c[i : i + k] for c in cond))
+            chunks.append(self._network(w, ad.reshape(chunk, (b, n, n, 1)), rows, (b, g, g), classes))
         if len(chunks) == 1:
             return chunks[0]
-        return (
-            np.concatenate([c[0] for c in chunks]),
-            np.concatenate([c[1] for c in chunks]),
-        )
+        y_cnt = np.concatenate([c[0] for c in chunks])
+        return y_cnt, np.concatenate([c[1] for c in chunks]) if classes else None
 
     # -- inference-time counts ----------------------------------------------
 
@@ -403,6 +420,8 @@ class CountModel:
         one stacked ``forward``, and an image's count at kappa is the exact
         (fsum) sum of its tiles' ``count_above``. An n-by-n image is one
         tile, so its count is its grid's ``count_above`` bit for bit.
+        Kappa 0 applies no class filter, so when every kappa is 0 the class
+        head does not run.
         """
         if not kappas:
             raise ValueError("kappas is empty: need at least one threshold")
@@ -426,14 +445,17 @@ class CountModel:
         if not np.isfinite(stack).all():
             raise ValueError("image values must be finite")
         cats = np.repeat(self._category_rows(category_id, len(tiles)), per_image)
-        y_cnt, y_cls = self._forward_stack(stack, cats)
+        y_cnt, y_cls = self._forward_stack(stack, cats, classes=any(kappas))
+        if y_cls is None:
+            y_cls = [None] * len(y_cnt)
         ends = list(accumulate(per_image))
         spans = list(zip([0] + ends[:-1], ends))
         per_tile = [[count_above(c, p, k) for c, p in zip(y_cnt, y_cls)] for k in kappas]
         return [[math.fsum(row[a:b]) for a, b in spans] for row in per_tile]
 
     def predict_count(self, image: np.ndarray, category_id: int) -> float:
-        """Total predicted count of one image: ``counts`` at kappa 0."""
+        """Total predicted count of one image: ``counts`` at kappa 0, the
+        fsum of its whole cardinality grid with no class filter."""
         return self.counts([image], category_id)[0][0]
 
     def thresholded_count(self, image: np.ndarray, category_id: int, kappa: float) -> float:

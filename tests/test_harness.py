@@ -211,6 +211,21 @@ class TestBatchedInference:
             )
         assert size_bias_sweep({"m": model}, corpus, ratios) == expect
 
+    def test_kappa_zero_counts_run_no_class_head(self, monkeypatch):
+        corpus = mixed_corpus(5)
+        model = CountModel.create()
+        image = corpus.samples()[0].scene.image
+
+        def no_class_head(*args, **kwargs):
+            raise AssertionError("class head ran")
+
+        monkeypatch.setattr(CountModel, "_class_grid", no_class_head)
+        assert evaluate(model, corpus).n == 5
+        assert model.predict_count(image, 0) >= 0.0
+        assert len(size_bias_sweep({"m": model}, corpus, (1.0, 2.0))) == 2
+        with pytest.raises(AssertionError, match="class head ran"):
+            threshold_sweep(model, corpus, (0.0, 0.3))
+
 
 class TestTrainStage:
     def test_one_epoch_log(self):

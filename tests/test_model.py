@@ -13,6 +13,7 @@ from countgrad.model import (
     CheckpointError,
     CountModel,
     ModelConfig,
+    count_above,
     load_checkpoint,
     save_checkpoint,
 )
@@ -357,6 +358,60 @@ class TestCounts:
             model.counts([image], 0, ())
         with pytest.raises(ValueError, match="kappa must lie"):
             model.counts([image], 0, (0.2, -0.1))
+
+    @pytest.mark.parametrize("kappas", [(0.0,), (0.0, 0.3), tuple(i / 10 for i in range(10))])
+    def test_counts_equal_count_above_of_forward_grids_bitwise(self, kappas):
+        # counts runs the class head only when a kappa is above 0; every
+        # count still equals the one thresholding rule over both grids
+        model = CountModel.create()
+        rng = np.random.default_rng(17)
+        img = random_image(rng)
+        one = model.forward(img, 1)
+        assert model.counts([img], 1, kappas) == [[count_above(*one, k)] for k in kappas]
+        # 13 images of both categories: chunks of IMAGES_PER_FORWARD, the last partial
+        stack = rng.uniform(0.0, 1.0, (13, 64, 64))
+        cats = [i % 3 % 2 for i in range(13)]
+        y_cnt, y_cls = model.forward(stack, cats)
+        expect = [[count_above(c, p, k) for c, p in zip(y_cnt, y_cls)] for k in kappas]
+        assert model.counts(list(stack), cats, kappas) == expect
+        # 128 px images, four tiles each
+        bigs = [rng.uniform(0.0, 1.0, (128, 128)) for _ in range(3)]
+        big_cats = [1, 0, 1]
+        tiles = [[b[i : i + 64, j : j + 64] for i in (0, 64) for j in (0, 64)] for b in bigs]
+        grids = [[model.forward(t, cat) for t in ts] for ts, cat in zip(tiles, big_cats)]
+        expect = [[math.fsum(count_above(*g, k) for g in gs) for gs in grids] for k in kappas]
+        assert model.counts(bigs, big_cats, kappas) == expect
+
+    def test_stack_conditioning_built_once_equals_per_chunk_bitwise(self):
+        model = CountModel.create()
+        w, k = model.weights, IMAGES_PER_FORWARD
+        stack = np.random.default_rng(18).uniform(0.0, 1.0, (13, 64, 64))
+        # no two chunks share a category pattern, so rows sliced wrongly show
+        cats = np.array([i % 3 % 2 for i in range(13)])
+        y_cnt, y_cls = model._forward_stack(stack, cats)
+        only_cnt, no_cls = model._forward_stack(stack, cats, classes=False)
+        assert no_cls is None and only_cnt.tobytes() == y_cnt.tobytes()
+        for i in range(0, len(stack), k):
+            b = len(stack[i : i + k])
+            x = stack[i : i + k].reshape(b, 64, 64, 1)
+            cond = model._conditioning(w, cats[i : i + k])
+            cnt, cls = model._network(w, x, cond, (b, 8, 8))
+            assert cnt.tobytes() == y_cnt[i : i + k].tobytes()
+            assert cls.tobytes() == y_cls[i : i + k].tobytes()
+
+    def test_kappa_zero_applies_no_class_filter(self):
+        # a class logit bias of -1000 underflows every class probability to
+        # 0.0: kappa 0 still counts every cell, kappa 0.1 counts none
+        model = CountModel.create()
+        model.weights["cls_logit_bias"] = np.asarray(-1000.0)
+        img = random_image(np.random.default_rng(19))
+        y_cnt, y_cls = model.forward(img, 1)
+        assert (y_cls == 0.0).all() and (y_cnt > 0.0).all()
+        whole = math.fsum(y_cnt.ravel())
+        assert count_above(y_cnt, None, 0.0) == whole
+        assert model.predict_count(img, 1) == whole
+        assert model.thresholded_count(img, 1, 0.1) == 0.0
+        assert model.counts([img], 1, (0.0, 0.1)) == [[whole], [0.0]]
 
     def test_tile_size_must_match_input(self):
         model = CountModel.create()
