@@ -49,7 +49,6 @@ __all__ = [
     "GradCheckResult",
     "new_param",
     "add",
-    "sub",
     "mul",
     "scale",
     "matvec",
@@ -227,14 +226,6 @@ def add(a, b) -> DiffArray:
     sa, sb = av.shape, bv.shape
     return _recorded(
         av + bv, (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb))
-    )
-
-
-def sub(a, b) -> DiffArray:
-    av, bv = _values(a), _values(b)
-    sa, sb = av.shape, bv.shape
-    return _recorded(
-        av - bv, (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(-g, sb))
     )
 
 

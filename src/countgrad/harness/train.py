@@ -197,7 +197,7 @@ def _accumulate(model, group, w: LossWeights, grad_sums, where):
     """
     tape = ad.Tape()
     images = np.stack([ex.image for ex in group])
-    fp = model.forward_on_tape(tape, images, [ex.category_id for ex in group], trainable=True)
+    fp = model.forward_on_tape(tape, images, [ex.category_id for ex in group])
     n = len(group)
     strong = [i for i, ex in enumerate(group) if ex.strong]
     weak = [i for i, ex in enumerate(group) if not ex.strong]

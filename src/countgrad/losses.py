@@ -67,7 +67,7 @@ def strong_count_loss(pred: ad.DiffArray, target: np.ndarray) -> ad.DiffArray:
 def _bce_terms(pred: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
     p = ad.clamp(pred, BCE_EPS, 1.0 - BCE_EPS)
     y = labels.astype(np.float64)
-    return ad.add(ad.mul(ad.log(p), y), ad.mul(ad.log(ad.sub(1.0, p)), 1.0 - y))
+    return ad.add(ad.mul(ad.log(p), y), ad.mul(ad.log(ad.add(ad.scale(p, -1.0), 1.0)), 1.0 - y))
 
 
 def strong_cls_loss(pred: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:

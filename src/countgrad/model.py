@@ -5,13 +5,19 @@ embedding gates trunk channels through sigmoid attention, one top-down pass
 refines the gated features, and two parallel heads emit per-cell outputs at
 1/8 input resolution: a softplus cardinality grid (never negative) and a
 sigmoid class-probability grid from a scaled inner product between cell
-features and the projected embedding. ``forward_on_tape`` composes four
-parts (category conditioning, trunk through the fuse layer, count head,
-class head). A guidance step reads only the count grid of one image, so
-``count_on_tape`` runs the trunk and count head alone, from the category
-conditioning that ``frozen_conditioning`` builds once per run. Likewise a
-count at kappa 0 applies no class filter, so ``counts`` runs the class
-head only when some kappa is above 0.
+features and the projected embedding. One network (``_network``) composes
+four parts: category conditioning, trunk through the fuse layer, count
+head and class head. Each job has one way into it:
+
+- training: ``forward_on_tape`` registers every weight on the tape as a
+  parameter and returns both grids;
+- frozen grids and counts: ``forward`` and ``counts`` run image stacks in
+  chunks with the weights as plain arrays, recording nothing; a single
+  image is a one-row stack. A count at kappa 0 applies no class filter, so
+  ``counts`` runs the class head only when some kappa is above 0;
+- guidance: ``count_on_tape`` runs the trunk and count head alone over an
+  image on a tape, with frozen weights and the category conditioning that
+  ``frozen_conditioning`` builds once per run.
 
 Checkpoints are single files: a JSON echo of the config, then named
 float64 weight blocks in declaration order, inside the envelope (magic,
@@ -145,16 +151,15 @@ TRUNK_WEIGHTS = ("stage1_k", "stage1_b", "stage2_k", "stage2_b", "stage3_k", "st
 
 @dataclass
 class ForwardPass:
-    """Handles returned by one on-tape evaluation.
+    """Handles returned by one training forward (``forward_on_tape``).
 
     Grids are (grid, grid) for a single image and (B, grid, grid) for a
-    batch of B images. They are plain arrays when nothing they depend on
-    was on the tape (frozen weights and a constant image).
+    batch of B images.
     """
 
-    y_cnt: ad.DiffArray | np.ndarray  # non-negative
-    y_cls: ad.DiffArray | np.ndarray  # in (0, 1)
-    params: dict[str, ad.DiffArray] | None = None
+    y_cnt: ad.DiffArray  # non-negative
+    y_cls: ad.DiffArray  # in (0, 1)
+    params: dict[str, ad.DiffArray]
 
 
 class Conditioning(NamedTuple):
@@ -258,33 +263,23 @@ class CountModel:
             return 1, (g, g)
         return shape[0], (shape[0], g, g)
 
-    def forward_on_tape(
-        self,
-        tape: ad.Tape,
-        image,
-        category_id,
-        trainable: bool = False,
-    ) -> ForwardPass:
-        """Run the network on a tape over one image or a batch of images.
+    def forward_on_tape(self, tape: ad.Tape, image, category_id) -> ForwardPass:
+        """The training forward: both grids of one image or a batch of images,
+        with every weight registered on ``tape`` as a parameter.
 
         ``image`` is (n, n) for one image or (B, n, n) for a batch, either a
         plain array, which enters as a constant, or a DiffArray already on
         ``tape``. ``category_id`` is one category for every row or a
         sequence of B, one per row. Rows never interact, so a batch's
         outputs are its rows' single-image outputs up to float64 rounding.
-        There is one network definition: ``trainable`` only chooses whether
-        the weights enter as parameters, registered on the tape and
-        returned for gradient reads, or as constants. Constants fold (see
-        ``autodiff``), so a frozen forward records only the image-dependent
-        work, and nothing at all for a constant image.
+        The returned ``params`` are the weight leaves, for gradient reads.
         """
         n = self.config.input_size
         b, out_shape = self._input_rows(image)
         cats = self._category_rows(category_id, b)
         x = ad.reshape(image, (b, n, n, 1))
-        params = {k: ad.new_param(tape, v) for k, v in self.weights.items()} if trainable else None
-        w = params if trainable else self.weights
-        y_cnt, y_cls = self._network(w, x, self._conditioning(w, cats), out_shape)
+        params = {k: ad.new_param(tape, v) for k, v in self.weights.items()}
+        y_cnt, y_cls = self._network(params, x, self._conditioning(params, cats), out_shape)
         return ForwardPass(y_cnt, y_cls, params)
 
     def frozen_conditioning(self, category_id: int) -> Conditioning:
@@ -296,13 +291,13 @@ class CountModel:
         return self._conditioning(self.weights, self._category_rows(category_id, 1))
 
     def count_on_tape(self, image, conditioning: Conditioning):
-        """The count grid alone of ``forward_on_tape`` with frozen weights.
+        """The guidance forward: the count grid alone, through the frozen weights.
 
         ``image`` is checked as ``forward_on_tape`` checks it, and every row
         takes ``conditioning`` (from ``frozen_conditioning``). Only the
-        trunk and the count head run, so a DiffArray image records what
-        the count gradient needs and no classification head; the grid is
-        ``forward_on_tape(...).y_cnt`` bit for bit.
+        trunk and the count head run, with the weights as constants, so a
+        DiffArray image records just what the count's image gradient needs;
+        the grid is ``forward_on_tape(...).y_cnt``'s values bit for bit.
         """
         n = self.config.input_size
         b, out_shape = self._input_rows(image)
@@ -368,30 +363,28 @@ class CountModel:
         return ad.reshape(ad.sigmoid(logits), out_shape)
 
     def forward(self, image: np.ndarray, category_id) -> tuple[np.ndarray, np.ndarray]:
-        """Plain-array forward: (cardinality grid, class-probability grid).
+        """Plain-array forward with frozen weights: (cardinality grid, class-probability grid).
 
-        A (B, n, n) stack, with one category or B of them, runs as
-        consecutive chunks of ``IMAGES_PER_FORWARD`` images and returns
-        (B, grid, grid) grids. Rows never interact, so each row is its
-        image's single-image forward (the tests hold them equal bit for
-        bit). An (n, n) image gives (grid, grid) grids.
+        An (n, n) image gives (grid, grid) grids; a (B, n, n) stack, with
+        one category or B of them, gives (B, grid, grid) grids. A single
+        image runs as a one-row stack.
         """
         if not np.isfinite(image).all():
             raise ValueError("image values must be finite")
-        if np.ndim(image) != 3:
-            out = self.forward_on_tape(ad.Tape(), image, category_id)
-            return out.y_cnt, out.y_cls
-        cats = self._category_rows(category_id, len(image))
-        self._input_rows(image)
-        return self._forward_stack(image, cats)
+        b, out_shape = self._input_rows(image)
+        cats = self._category_rows(category_id, b)
+        n = self.config.input_size
+        y_cnt, y_cls = self._forward_stack(np.reshape(image, (b, n, n)), cats)
+        return y_cnt.reshape(out_shape), y_cls.reshape(out_shape)
 
     def _forward_stack(self, stack: np.ndarray, cats: np.ndarray, classes: bool = True):
         """``forward`` of a finite (B, n, n) stack whose B category rows are validated.
 
-        The conditioning is built once over all B rows, and each chunk
-        takes its rows of it; rows never interact, so that is bit for bit
-        the per-chunk conditioning. Without ``classes`` only the trunk and
-        the count head run, and the class grid is None.
+        The stack runs as consecutive chunks of ``IMAGES_PER_FORWARD``
+        images. The conditioning is built once over all B rows, and each
+        chunk takes its rows of it; rows never interact, so that is bit for
+        bit the per-chunk conditioning. Without ``classes`` only the trunk
+        and the count head run, and the class grid is None.
         """
         k, n, g = IMAGES_PER_FORWARD, self.config.input_size, self.config.grid_size
         w = self.weights
@@ -423,10 +416,11 @@ class CountModel:
         Kappa 0 applies no class filter, so when every kappa is 0 the class
         head does not run.
         """
+        kappas = tuple(float(k) for k in kappas)
         if not kappas:
             raise ValueError("kappas is empty: need at least one threshold")
         if any(not 0.0 <= k < 1.0 for k in kappas):
-            raise ValueError(f"kappa must lie in [0, 1), got {tuple(kappas)}")
+            raise ValueError(f"kappa must lie in [0, 1), got {kappas}")
         if len(images) == 0:
             raise ValueError("no images to count")
         n = self.config.input_size

@@ -1,8 +1,11 @@
 """End-to-end command-line runs against tiny corpora and models."""
 
+import importlib
+import os
 import re
 import shutil
 import subprocess
+import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import countgrad
 from countgrad.cli import _SECTION_KEYS, _load_config, _read, main
 from countgrad.datagen import SceneSpec, corpora_equal, read_corpus
 from countgrad.harness import GuidanceConfig, TrainConfig
@@ -594,15 +598,28 @@ class TestExperimentCommands:
         assert "unknown variant" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(shutil.which("countgrad") is None, reason="entry point not installed")
 def test_console_entry_point(tmp_path):
+    # the script pyproject.toml declares resolves to a callable; run its module
+    # as that script would run, and the installed script too where there is one
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    module, _, attr = project["project"]["scripts"]["countgrad"].partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    src = str(Path(countgrad.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    commands = [[sys.executable, "-m", module]]
+    if shutil.which("countgrad") is not None:
+        commands.append(["countgrad"])
     cfg = tmp_path / "gen.ini"
     cfg.write_text(textwrap.dedent(TINY_SCENE) + "\n[corpus]\nn = 2\n")
-    proc = subprocess.run(
-        ["countgrad", "gen-data", str(cfg), "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "wrote" in proc.stdout
-    assert read_corpus(str(tmp_path / "out" / "corpus.bin")).split == "train"
+    for i, command in enumerate(commands):
+        out = tmp_path / f"out{i}"
+        proc = subprocess.run(
+            [*command, "gen-data", str(cfg), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "wrote" in proc.stdout
+        assert read_corpus(str(out / "corpus.bin")).split == "train"

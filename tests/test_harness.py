@@ -494,10 +494,10 @@ def loop_render(tape, params, nodes):
     cc = np.arange(n, dtype=np.float64)[None, :]
     image = None
     for s in range(params.n_slots):
-        dr = ad.sub(rr, ad.take_index(rows_c, s))
-        dc = ad.sub(cc, ad.take_index(cols_c, s))
+        dr = ad.add(ad.scale(ad.take_index(rows_c, s), -1.0), rr)
+        dc = ad.add(ad.scale(ad.take_index(cols_c, s), -1.0), cc)
         dist = ad.sqrt(ad.add(ad.add(ad.mul(dr, dr), ad.mul(dc, dc)), 1e-9))
-        edge = ad.scale(ad.sub(ad.take_index(radius, s), dist), 1.0 / blob.EDGE_SOFTNESS)
+        edge = ad.scale(ad.add(ad.scale(dist, -1.0), ad.take_index(radius, s)), 1.0 / blob.EDGE_SOFTNESS)
         height = ad.mul(ad.take_index(opacity, s), ad.take_index(intensity, s))
         contrib = ad.mul(ad.sigmoid(edge), height)
         image = contrib if image is None else ad.add(image, contrib)
@@ -507,7 +507,8 @@ def loop_render(tape, params, nodes):
 
 
 def loop_guide(model, params, gcfg):
-    """Reference guidance loop: all five latents are parameters, none folds to a constant."""
+    """Reference guidance loop: all five latents are parameters, none folds to a
+    constant, and the count comes from the training forward, not ``count_on_tape``."""
     values = {k: v.copy() for k, v in params.as_dict().items()}
     opt = Adam({k: blob.STEP_SIZE for k in blob.STEERED})
     trajectory, best_loss, best_values, stale = [], np.inf, dict(values), 0
@@ -515,7 +516,7 @@ def loop_guide(model, params, gcfg):
         tape = ad.Tape()
         nodes = {k: ad.new_param(tape, v) for k, v in values.items()}
         image = render_blob_scene(tape, params, nodes)
-        fp = model.forward_on_tape(tape, image, 0, trainable=False)
+        fp = model.forward_on_tape(tape, image, 0)
         loss = guidance_loss(fp.y_cnt, gcfg.q_req)
         loss_v = float(loss.values)
         trajectory.append((step, loss_v, float(fp.y_cnt.values.sum())))
@@ -642,10 +643,8 @@ class TestGuideOptimize:
     def test_already_converged_stops_at_patience(self):
         model = CountModel.create()
         params = init_blob_params(np.random.default_rng(5), n_slots=4, n_on=2)
-        tape = ad.Tape()
-        img = render_blob_scene(tape, params)
-        fp = model.forward_on_tape(tape, img, 0)
-        q0 = float(fp.y_cnt.values.sum())
+        img = render_blob_scene(ad.Tape(), params)
+        q0 = float(model.count_on_tape(img, model.frozen_conditioning(0)).values.sum())
         out, traj = guide_optimize(
             model, params, GuidanceConfig(q_req=q0, max_steps=150, plateau_patience=5)
         )

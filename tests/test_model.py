@@ -92,7 +92,9 @@ class TestForward:
             )
 
     def test_batch_rows_match_single_image_forwards(self):
-        # rows never interact; they differ from batch-of-1 only by GEMM rounding
+        # rows never interact; they differ from batch-of-1 only by GEMM rounding.
+        # The reference is the training forward, which shares no code path
+        # with forward's stack beyond the network itself
         model = CountModel.create()
         rng = np.random.default_rng(9)
         images = rng.uniform(0.0, 1.0, (5, 64, 64))
@@ -100,9 +102,9 @@ class TestForward:
         y_cnt, y_cls = model.forward(images, cats)
         assert y_cnt.shape == (5, 8, 8) and y_cls.shape == (5, 8, 8)
         for i, cat in enumerate(cats):
-            one_cnt, one_cls = model.forward(images[i], cat)
-            np.testing.assert_allclose(y_cnt[i], one_cnt, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(y_cls[i], one_cls, rtol=1e-12, atol=0)
+            one = model.forward_on_tape(ad.Tape(), images[i], cat)
+            np.testing.assert_allclose(y_cnt[i], one.y_cnt.values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(y_cls[i], one.y_cls.values, rtol=1e-12, atol=0)
 
     def test_batch_category_validation(self):
         model = CountModel.create()
@@ -123,9 +125,11 @@ class TestForward:
             y_cnt, y_cls = model.forward(images, cat_arg)
             assert y_cnt.shape == (n, 8, 8) and y_cls.shape == (n, 8, 8)
             for i in range(n):
-                one_cnt, one_cls = model.forward(images[i], row_cats[i])
-                np.testing.assert_array_equal(y_cnt[i], one_cnt)
-                np.testing.assert_array_equal(y_cls[i], one_cls)
+                # a single image is a one-row stack, so the reference is the
+                # training forward of that image
+                one = model.forward_on_tape(ad.Tape(), images[i], row_cats[i])
+                np.testing.assert_array_equal(y_cnt[i], one.y_cnt.values)
+                np.testing.assert_array_equal(y_cls[i], one.y_cls.values)
 
     def test_chunked_stack_category_validation(self):
         model = CountModel.create()
@@ -137,34 +141,40 @@ class TestForward:
         with pytest.raises(ValueError, match="category"):
             model.forward(images, [0] * IMAGES_PER_FORWARD + [2])
 
-    def test_frozen_forward_of_constant_image_records_nothing(self):
+    def test_frozen_paths_equal_the_training_forward_bitwise(self):
         # one network definition: frozen weights only fold, never change a bit
         model = CountModel.create(SMALL)
         images = np.random.default_rng(10).uniform(0.0, 1.0, (3, 16, 16))
         cats = [1, 0, 1]
-        tape = ad.Tape()
-        frozen = model.forward_on_tape(tape, images, cats)
-        assert len(tape) == 0
-        trained = model.forward_on_tape(ad.Tape(), images, cats, trainable=True)
-        np.testing.assert_array_equal(frozen.y_cnt, trained.y_cnt.values)
-        np.testing.assert_array_equal(frozen.y_cls, trained.y_cls.values)
+        trained = model.forward_on_tape(ad.Tape(), images, cats)
+        y_cnt, y_cls = model.forward(images, cats)
+        assert y_cnt.tobytes() == trained.y_cnt.values.tobytes()
+        assert y_cls.tobytes() == trained.y_cls.values.tobytes()
+        # a constant image through the guidance forward records nothing
+        for i, cat in enumerate(cats):
+            grid = model.count_on_tape(images[i : i + 1], model.frozen_conditioning(cat))
+            assert isinstance(grid, np.ndarray)
+            assert grid.tobytes() == trained.y_cnt.values[i : i + 1].tobytes()
 
     def test_each_conv_layer_is_one_tape_node(self):
         # 23 weight leaves and 30 interior nodes; a conv layer's bias and
         # rectifier live inside its conv2d node
         model = CountModel.create(SMALL)
         tape = ad.Tape()
-        model.forward_on_tape(tape, np.zeros((IMAGES_PER_FORWARD, 16, 16)), 0, trainable=True)
+        model.forward_on_tape(tape, np.zeros((IMAGES_PER_FORWARD, 16, 16)), 0)
         assert len(model.weights) == 23
         assert len(tape) == 53
-        # guidance: the image is the only leaf, so only its 20 descendants are recorded
+        # guidance: the image is the only leaf, and the count path records
+        # its 13 descendants (reshape, three stages, two gates, upsample,
+        # concat, fuse, count head, count conv, softplus, reshape)
         tape = ad.Tape()
-        model.forward_on_tape(tape, ad.new_param(tape, np.zeros((16, 16))), 0)
-        assert len(tape) == 21
+        model.count_on_tape(ad.new_param(tape, np.zeros((16, 16))), model.frozen_conditioning(0))
+        assert len(tape) == 14
 
     @pytest.mark.parametrize("cat", [0, 1])
     def test_count_on_tape_equals_forward_count_grid_bitwise(self, cat):
-        # guidance's count-only path: same grid and image gradient, no class head
+        # guidance's count-only path: the training forward's grid and image
+        # gradient, with no class head and no weight leaves
         model = CountModel.create(SMALL)
         img = np.random.default_rng(11 + cat).uniform(0.2, 0.8, (16, 16))
         weights = np.random.default_rng(12).normal(size=(2, 2))
@@ -183,11 +193,11 @@ class TestForward:
         assert got_grad.tobytes() == ref_grad.tobytes()
         assert np.abs(got_grad).max() > 0.0
         # image leaf, forward and two loss nodes; the count path records
-        # neither the class head's conv nor its 6-node chain
-        assert (ref_nodes, got_nodes) == (23, 16)
+        # no weight leaves, and neither the class head's conv nor its chain
+        assert (ref_nodes, got_nodes) == (57, 16)
         stack = np.stack([img, img[::-1], img.T])
         plain = model.count_on_tape(stack, cond)
-        assert plain.tobytes() == model.forward_on_tape(ad.Tape(), stack, cat).y_cnt.tobytes()
+        assert plain.tobytes() == model.forward_on_tape(ad.Tape(), stack, cat).y_cnt.values.tobytes()
 
     def test_repeated_forward_stays_finite(self):
         model = CountModel.create(SMALL)
@@ -202,9 +212,10 @@ class TestGradients:
         model = CountModel.create(SMALL)
         rng = np.random.default_rng(5)
 
+        cond = model.frozen_conditioning(0)
+
         def fn(img):
-            out = model.forward_on_tape(img.tape, img, 0)
-            return ad.reduce_sum(out.y_cnt)
+            return ad.reduce_sum(model.count_on_tape(img, cond))
 
         # wider stencil than the primitive checks: at depth, h=1e-5 sits in
         # the cancellation-noise regime for small gradient coordinates
@@ -212,17 +223,17 @@ class TestGradients:
         assert res.max_rel_error <= 1e-4
 
     def test_weight_gradients_match_finite_differences(self):
-        # perturb full weight tensors through a trainable forward
+        # perturb full weight tensors through the training forward
         cfg = SMALL
         base = CountModel.create(cfg)
         rng = np.random.default_rng(6)
         img = rng.uniform(0.2, 0.8, (16, 16))
 
         for wname in ("cnt_out_k", "cls_proj_w", "attn2_w", "stage3_k", "embed"):
-            # trainable forward gives the analytic grad; numeric side nudges
-            # single weight coordinates through the plain forward
+            # the training forward gives the analytic grad; numeric side
+            # nudges single weight coordinates through the plain forward
             tape = ad.Tape()
-            fp = CountModel(cfg, base.weights).forward_on_tape(tape, img, 1, trainable=True)
+            fp = CountModel(cfg, base.weights).forward_on_tape(tape, img, 1)
             loss = ad.add(ad.reduce_sum(fp.y_cnt), ad.reduce_sum(fp.y_cls))
             analytic = ad.backward(tape, loss).wrt(fp.params[wname])
 
@@ -252,7 +263,7 @@ class TestGradients:
         model = CountModel.create(cfg)
         tape = ad.Tape()
         rng = np.random.default_rng(7)
-        fp = model.forward_on_tape(tape, rng.uniform(0.2, 0.8, (16, 16)), 0, trainable=True)
+        fp = model.forward_on_tape(tape, rng.uniform(0.2, 0.8, (16, 16)), 0)
         grads = ad.backward(tape, ad.reduce_sum(fp.y_cnt))
         for name in ("head_cls_k", "cls_proj_w", "cls_logit_scale", "cls_logit_bias"):
             np.testing.assert_array_equal(grads.wrt(fp.params[name]), 0.0)
@@ -354,10 +365,18 @@ class TestCounts:
         image = np.zeros((64, 64))
         with pytest.raises(ValueError, match="no images"):
             model.counts([], 0)
-        with pytest.raises(ValueError, match="kappas is empty"):
-            model.counts([image], 0, ())
+        for empty in ((), np.array([])):
+            with pytest.raises(ValueError, match="kappas is empty"):
+                model.counts([image], 0, empty)
         with pytest.raises(ValueError, match="kappa must lie"):
             model.counts([image], 0, (0.2, -0.1))
+
+    def test_counts_take_numpy_kappas(self):
+        # a numpy array of kappas counts as the same tuple does, bit for bit
+        model = CountModel.create()
+        images = list(np.random.default_rng(21).uniform(0.0, 1.0, (2, 64, 64)))
+        for kappas in ((0.0,), (0.0, 0.5)):
+            assert model.counts(images, [0, 1], np.array(kappas)) == model.counts(images, [0, 1], kappas)
 
     @pytest.mark.parametrize("kappas", [(0.0,), (0.0, 0.3), tuple(i / 10 for i in range(10))])
     def test_counts_equal_count_above_of_forward_grids_bitwise(self, kappas):
