@@ -58,7 +58,6 @@ __all__ = [
     "sigmoid",
     "softplus",
     "leaky_relu",
-    "log",
     "sqrt",
     "clamp",
     "conv2d",
@@ -371,13 +370,6 @@ def leaky_relu(x: DiffArray, alpha: float = 0.1) -> DiffArray:
     """``x`` where positive, ``alpha * x`` elsewhere; ``alpha`` must lie in [0, 1]."""
     out, scale_grad = _rectify(_values(x), alpha, _tape_of(x))
     return _recorded(out, (x, scale_grad))
-
-
-def log(x: DiffArray) -> DiffArray:
-    xv = _values(x)
-    if np.any(xv <= 0.0):
-        raise ValueError("log requires strictly positive inputs")
-    return _recorded(np.log(xv), (x, lambda g: g / xv))
 
 
 def sqrt(x: DiffArray) -> DiffArray:

@@ -275,13 +275,15 @@ def cmd_eval(cfg, seed, outdir):
     return [per_image, summary_path]
 
 
-def _named_checkpoints(value):
-    pairs = []
-    for entry in value.split(","):
-        name, _, path = entry.strip().partition("=")
-        if not path:
+def _named_checkpoints(value) -> dict[str, str]:
+    pairs = {}
+    for entry in (e.strip() for e in value.split(",")):
+        name, _, path = entry.partition("=")
+        if not name or not path:
             raise ConfigError(f"checkpoints entries must be name=path, got {entry!r}")
-        pairs.append((name, path))
+        if name in pairs:
+            raise ConfigError(f"checkpoints entry {entry!r} repeats the model name {name!r}")
+        pairs[name] = path
     return pairs
 
 
@@ -291,7 +293,7 @@ def cmd_size_bias(cfg, seed, outdir):
     ratios = _get(s, "ratios", SIZE_BIAS_RATIOS)
     by_size_class = _get(s, "by_size_class", False)
     models = {}
-    for name, path in _named_checkpoints(_require(s, "checkpoints")):
+    for name, path in _named_checkpoints(_require(s, "checkpoints")).items():
         if not os.path.exists(path):
             raise ConfigError(f"checkpoint not found: {path}")
         models[name] = load_checkpoint(path)

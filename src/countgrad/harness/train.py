@@ -208,13 +208,13 @@ def _accumulate(model, group, w: LossWeights, grad_sums, where):
         cnt_terms.append((w.alpha1, strong_count_loss(_rows(fp.y_cnt, strong, n), target)))
     if strong and w.beta1 > 0:
         target = np.stack([group[i].cls for i in strong])
-        cls_terms.append((w.beta1, strong_cls_loss(_rows(fp.y_cls, strong, n), target)))
+        cls_terms.append((w.beta1, strong_cls_loss(_rows(fp.cls_logits, strong, n), target)))
     if weak and w.alpha2 > 0:
         counts = np.asarray([group[i].count for i in weak], dtype=np.float64)
         cnt_terms.append((w.alpha2, weak_count_loss(_rows(fp.y_cnt, weak, n), counts)))
     if labelled and w.beta2 > 0:
         grids = [group[i].cls for i in labelled]
-        cls_terms.append((w.beta2, weak_cls_loss(_rows(fp.y_cls, labelled, n), grids)))
+        cls_terms.append((w.beta2, weak_cls_loss(_rows(fp.cls_logits, labelled, n), grids)))
     if not cnt_terms and not cls_terms:
         return 0.0, 0.0
 

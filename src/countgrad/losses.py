@@ -2,8 +2,9 @@
 
 Count losses are summed (not averaged) L1 so their scale matches objects,
 which keeps the default weighting meaningful against count error. The
-classification losses are mean binary cross-entropy, making their weight
-independent of grid resolution.
+classification losses are mean binary cross-entropy on class logits z,
+``softplus((1 - 2y) * z)`` for label y (exact at any z: no clamp, and no
+cancellation), making their weight independent of grid resolution.
 
 Targets are the plain arrays the training loop stacks; the weak
 classification loss takes one WeakGrids per row. Predictions may carry a
@@ -25,16 +26,12 @@ from .targets import WeakGrids
 
 __all__ = [
     "LossWeights",
-    "BCE_EPS",
     "strong_count_loss",
     "strong_cls_loss",
     "weak_cls_loss",
     "weak_count_loss",
     "guidance_loss",
 ]
-
-BCE_EPS = 1e-7  # probability clamp; saturated sigmoids otherwise reach log(0)
-
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -64,27 +61,26 @@ def strong_count_loss(pred: ad.DiffArray, target: np.ndarray) -> ad.DiffArray:
     return ad.l1_diff(pred, target)
 
 
-def _bce_terms(pred: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
-    p = ad.clamp(pred, BCE_EPS, 1.0 - BCE_EPS)
-    y = labels.astype(np.float64)
-    return ad.add(ad.mul(ad.log(p), y), ad.mul(ad.log(ad.add(ad.scale(p, -1.0), 1.0)), 1.0 - y))
+def _bce_terms(logits: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
+    """Per-cell cross-entropy of logits z against boolean labels y: ``softplus((1 - 2y) * z)``."""
+    return ad.softplus(ad.mul(logits, np.where(labels, -1.0, 1.0)))
 
 
-def strong_cls_loss(pred: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
+def strong_cls_loss(logits: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
     """Mean binary cross-entropy over every grid cell (of each row, summed over rows).
 
-    ``labels`` is the boolean class grid, shaped like ``pred``.
+    ``labels`` is the boolean class grid, shaped like ``logits``.
     """
-    if pred.shape != labels.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {labels.shape}")
-    terms = _bce_terms(pred, labels)
-    return ad.scale(ad.reduce_sum(terms), -1.0 / math.prod(labels.shape[-2:]))
+    if logits.shape != labels.shape:
+        raise ValueError(f"shape mismatch: {logits.shape} vs {labels.shape}")
+    terms = _bce_terms(logits, labels)
+    return ad.scale(ad.reduce_sum(terms), 1.0 / math.prod(labels.shape[-2:]))
 
 
-def weak_cls_loss(pred: ad.DiffArray, weak: Sequence[WeakGrids]) -> ad.DiffArray:
+def weak_cls_loss(logits: ad.DiffArray, weak: Sequence[WeakGrids]) -> ad.DiffArray:
     """Mean binary cross-entropy restricted to the annotated cells.
 
-    ``pred`` is a (B, grid, grid) batch and ``weak`` holds one WeakGrids
+    ``logits`` is a (B, grid, grid) batch and ``weak`` holds one WeakGrids
     per row; each row is averaged over its own annotated cells.
     Unannotated cells contribute exactly nothing, so sparse labels never
     penalize the model for regions nobody looked at.
@@ -94,10 +90,10 @@ def weak_cls_loss(pred: ad.DiffArray, weak: Sequence[WeakGrids]) -> ad.DiffArray
     if not n.all():
         raise ValueError("no annotated cells to supervise")
     cell_weight = omega / n
-    if pred.shape != cell_weight.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {cell_weight.shape}")
-    terms = _bce_terms(pred, np.stack([wg.positive for wg in weak]))
-    return ad.scale(ad.reduce_sum(ad.mul(terms, cell_weight)), -1.0)
+    if logits.shape != cell_weight.shape:
+        raise ValueError(f"shape mismatch: {logits.shape} vs {cell_weight.shape}")
+    terms = _bce_terms(logits, np.stack([wg.positive for wg in weak]))
+    return ad.reduce_sum(ad.mul(terms, cell_weight))
 
 
 def weak_count_loss(pred: ad.DiffArray, count) -> ad.DiffArray:

@@ -4,17 +4,18 @@ The trunk downsamples three times (stride 2 each); a learned category
 embedding gates trunk channels through sigmoid attention, one top-down pass
 refines the gated features, and two parallel heads emit per-cell outputs at
 1/8 input resolution: a softplus cardinality grid (never negative) and a
-sigmoid class-probability grid from a scaled inner product between cell
-features and the projected embedding. One network (``_network``) composes
-four parts: category conditioning, trunk through the fuse layer, count
-head and class head. Each job has one way into it:
+class-logit grid from a scaled inner product between cell features and
+the projected embedding. One network (``_network``) composes four parts:
+category conditioning, trunk through the fuse layer, count head and class
+head. Each job has one way into it:
 
 - training: ``forward_on_tape`` registers every weight on the tape as a
-  parameter and returns both grids;
+  parameter and returns the count grid and the class logits;
 - frozen grids and counts: ``forward`` and ``counts`` run image stacks in
-  chunks with the weights as plain arrays, recording nothing; a single
-  image is a one-row stack. A count at kappa 0 applies no class filter, so
-  ``counts`` runs the class head only when some kappa is above 0;
+  chunks with the weights as plain arrays, recording nothing, and read the
+  logits' sigmoid as class probabilities; a single image is a one-row
+  stack. A count at kappa 0 applies no class filter, so ``counts`` runs
+  the class head only when some kappa is above 0;
 - guidance: ``count_on_tape`` runs the trunk and count head alone over an
   image on a tape, with frozen weights and the category conditioning that
   ``frozen_conditioning`` builds once per run.
@@ -95,6 +96,8 @@ class ModelConfig:
             raise ValueError(f"input_size must be a multiple of {GRID_FACTOR}, at least 16")
         if len(self.channels) != 3 or min(self.channels) < 1:
             raise ValueError("channels must be three positive widths")
+        if self.fused_channels < 1:
+            raise ValueError(f"fused_channels must be positive, got {self.fused_channels}")
         if self.embed_dim < 1 or self.num_categories < 1:
             raise ValueError("embed_dim and num_categories must be positive")
 
@@ -151,14 +154,14 @@ TRUNK_WEIGHTS = ("stage1_k", "stage1_b", "stage2_k", "stage2_b", "stage3_k", "st
 
 @dataclass
 class ForwardPass:
-    """Handles returned by one training forward (``forward_on_tape``).
+    """One training forward's count grid, class-logit grid and weight leaves.
 
     Grids are (grid, grid) for a single image and (B, grid, grid) for a
     batch of B images.
     """
 
     y_cnt: ad.DiffArray  # non-negative
-    y_cls: ad.DiffArray  # in (0, 1)
+    cls_logits: ad.DiffArray  # their sigmoid is forward's class probability
     params: dict[str, ad.DiffArray]
 
 
@@ -264,8 +267,8 @@ class CountModel:
         return shape[0], (shape[0], g, g)
 
     def forward_on_tape(self, tape: ad.Tape, image, category_id) -> ForwardPass:
-        """The training forward: both grids of one image or a batch of images,
-        with every weight registered on ``tape`` as a parameter.
+        """The training forward: count grid and class logits of one image or a
+        batch of images, with every weight registered on ``tape`` as a parameter.
 
         ``image`` is (n, n) for one image or (B, n, n) for a batch, either a
         plain array, which enters as a constant, or a DiffArray already on
@@ -279,8 +282,8 @@ class CountModel:
         cats = self._category_rows(category_id, b)
         x = ad.reshape(image, (b, n, n, 1))
         params = {k: ad.new_param(tape, v) for k, v in self.weights.items()}
-        y_cnt, y_cls = self._network(params, x, self._conditioning(params, cats), out_shape)
-        return ForwardPass(y_cnt, y_cls, params)
+        y_cnt, cls_logits = self._network(params, x, self._conditioning(params, cats), out_shape)
+        return ForwardPass(y_cnt, cls_logits, params)
 
     def frozen_conditioning(self, category_id: int) -> Conditioning:
         """One category's conditioning through the frozen weights, for ``count_on_tape``.
@@ -309,9 +312,9 @@ class CountModel:
     # Each head is its 3x3 conv (``_block``) followed by its grid.
 
     def _network(self, w, x, cond: Conditioning, out_shape, classes: bool = True):
-        """(count grid, class grid) of the (b, n, n, 1) input ``x``, row i
-        conditioned by row i of ``cond``. Without ``classes`` the class head
-        does not run and the class grid is None."""
+        """(count grid, class-logit grid) of the (b, n, n, 1) input ``x``, row
+        i conditioned by row i of ``cond``. Without ``classes`` the class head
+        does not run and the logit grid is None."""
         fused = self._trunk(w, x, cond)
         # node order: both head convolutions, then the count grid, then the
         # class chain; a training tape's peak memory depends on it
@@ -352,15 +355,15 @@ class CountModel:
         )
 
     def _class_grid(self, w, f_cls, cond: Conditioning, out_shape):
-        """Class-probability grid from the class head's conv features: each
-        row's cells against its own category's query vector."""
+        """Class-logit grid from the class head's conv features: each row's
+        cells against its own category's query vector."""
         g = self.config.grid_size
         cell_feats = ad.reshape(f_cls, (-1, g * g, self.config.fused_channels))
         logits = ad.add(
             ad.mul(ad.matvec(cell_feats, cond.cls_query), w["cls_logit_scale"]),
             w["cls_logit_bias"],
         )
-        return ad.reshape(ad.sigmoid(logits), out_shape)
+        return ad.reshape(logits, out_shape)
 
     def forward(self, image: np.ndarray, category_id) -> tuple[np.ndarray, np.ndarray]:
         """Plain-array forward with frozen weights: (cardinality grid, class-probability grid).
@@ -383,8 +386,9 @@ class CountModel:
         The stack runs as consecutive chunks of ``IMAGES_PER_FORWARD``
         images. The conditioning is built once over all B rows, and each
         chunk takes its rows of it; rows never interact, so that is bit for
-        bit the per-chunk conditioning. Without ``classes`` only the trunk
-        and the count head run, and the class grid is None.
+        bit the per-chunk conditioning. One sigmoid over the stack's class
+        logits gives the class grid; without ``classes`` only the trunk and
+        the count head run, and the class grid is None.
         """
         k, n, g = IMAGES_PER_FORWARD, self.config.input_size, self.config.grid_size
         w = self.weights
@@ -395,10 +399,8 @@ class CountModel:
             b = len(chunk)
             rows = Conditioning(*(c[i : i + k] for c in cond))
             chunks.append(self._network(w, ad.reshape(chunk, (b, n, n, 1)), rows, (b, g, g), classes))
-        if len(chunks) == 1:
-            return chunks[0]
         y_cnt = np.concatenate([c[0] for c in chunks])
-        return y_cnt, np.concatenate([c[1] for c in chunks]) if classes else None
+        return y_cnt, ad.sigmoid(np.concatenate([c[1] for c in chunks])) if classes else None
 
     # -- inference-time counts ----------------------------------------------
 

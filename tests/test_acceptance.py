@@ -246,7 +246,6 @@ def _primitive_cases():
         ("mul_lhs", a, lambda p: _weighted_sum(ad.mul(p, ad.new_param(p.tape, b)), w)),
         ("mul_rhs", b, lambda p: _weighted_sum(ad.mul(ad.new_param(p.tape, a), p), w)),
         ("scale", a, lambda p: _weighted_sum(ad.scale(p, 1.7), w)),
-        ("log", pos, lambda p: _weighted_sum(ad.log(p), w)),
         ("sqrt", pos, lambda p: _weighted_sum(ad.sqrt(p), w)),
         ("sigmoid", a, lambda p: _weighted_sum(ad.sigmoid(p), w)),
         ("softplus", a, lambda p: _weighted_sum(ad.softplus(p), w)),

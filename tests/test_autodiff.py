@@ -115,17 +115,10 @@ class TestElementwise:
         assert y.values.tobytes() == np.where(z > 0, z, slope * z).tobytes()
         assert grad.tobytes() == np.where(z > 0, w, slope * w).tobytes()
 
-    def test_log_and_sqrt(self):
+    def test_sqrt(self):
         rng = np.random.default_rng(7)
         pt = rng.uniform(0.5, 3.0, size=(6,))
-        check(lambda x: ad.reduce_sum(ad.log(x)), pt)
         check(lambda x: ad.reduce_sum(ad.sqrt(x)), pt)
-
-    def test_log_rejects_nonpositive(self):
-        tape = ad.Tape()
-        x = ad.new_param(tape, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            ad.log(x)
 
     def test_clamp_interior_gradient(self):
         rng = np.random.default_rng(8)
@@ -702,7 +695,6 @@ FOLD_CASES = [
     ("sigmoid", ad.sigmoid, (_ANY,)),
     ("softplus", ad.softplus, (_ANY,)),
     ("leaky_relu", ad.leaky_relu, (_ANY,)),
-    ("log", ad.log, (_POS,)),
     ("sqrt", ad.sqrt, (_POS,)),
     ("clamp", lambda x: ad.clamp(x, -0.5, 0.5), (_ANY,)),
     ("conv2d", lambda x, k: ad.conv2d(x, k, stride=2, padding=1), (_IMGS, _KER)),

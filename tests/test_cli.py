@@ -332,6 +332,26 @@ class TestTrain:
         resumed = load_checkpoint(str(out / "model.ckpt"))
         assert resumed.config.input_size == 16
 
+    def test_zero_fused_channels_rejected(self, trained, tmp_path, capsys):
+        _, _, train_corpus, val_corpus = trained
+        cfg = write_config(
+            tmp_path,
+            "fc0.ini",
+            TINY_MODEL.replace("fused_channels = 4", "fused_channels = 0") + f"""
+    [train]
+    stage = strong
+    train_corpus = {train_corpus}
+    val_corpus = {val_corpus}
+    epochs = 1
+    batch_size = 4
+    """,
+        )
+        out = tmp_path / "fc0"
+        assert main(["train", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fused_channels must be positive, got 0")
+        assert not (out / "model.ckpt").exists()
+
     def test_missing_corpus_path(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -451,6 +471,27 @@ class TestExperimentCommands:
         rows = (out / "size_bias.csv").read_text().splitlines()
         assert len(rows) == 5  # header + 2 models x 2 ratios
         assert (out / "size_class_drift.csv").exists()
+
+    @pytest.mark.parametrize(
+        "entries, bad",
+        [
+            ("a={ckpt}, a={ckpt}", "'a={ckpt}' repeats the model name 'a'"),
+            ("a={ckpt}, ={ckpt}", "must be name=path, got '={ckpt}'"),
+        ],
+        ids=["repeated", "empty"],
+    )
+    def test_size_bias_rejects_bad_model_names(self, trained, tmp_path, capsys, entries, bad):
+        _, ckpt, _, val_corpus = trained
+        cfg = write_config(
+            tmp_path,
+            "sb_bad.ini",
+            f"[size-bias]\ncheckpoints = {entries.format(ckpt=ckpt)}\ncorpus = {val_corpus}\n",
+        )
+        out = tmp_path / "sb_bad"
+        assert main(["size-bias", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoints entr") and bad.format(ckpt=ckpt) in err
+        assert not (out / "size_bias.csv").exists()
 
     def test_size_bias_by_class_predicts_once(self, trained, tmp_path, monkeypatch):
         # 14 scenes run as 4 network evaluations (4+4+4+2) at each of ratios

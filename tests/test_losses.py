@@ -5,7 +5,6 @@ import pytest
 
 from countgrad import autodiff as ad
 from countgrad.losses import (
-    BCE_EPS,
     LossWeights,
     guidance_loss,
     strong_cls_loss,
@@ -46,31 +45,60 @@ class TestCountLosses:
         assert res.max_rel_error <= 1e-6
 
 
+# both classification losses over one cell, as functions of its logit
+ONE_CELL_CLS_LOSSES = {
+    "strong": lambda z, y: strong_cls_loss(z, np.array([[y]])),
+    "weak": lambda z, y: weak_cls_loss(
+        ad.reshape(z, (1, 1, 1)), [WeakGrids(np.array([[y]]), np.array([[not y]]), int(y))]
+    ),
+}
+
+
 class TestClassificationLosses:
     def test_uniform_half_gives_ln2(self):
         labels = np.array([[True, False], [False, True]])
-        _, pred = as_node(np.full((2, 2), 0.5))
-        assert float(strong_cls_loss(pred, labels).values) == pytest.approx(np.log(2.0))
+        _, logits = as_node(np.zeros((2, 2)))
+        assert float(strong_cls_loss(logits, labels).values) == pytest.approx(np.log(2.0))
 
-    def test_perfect_prediction_hits_eps_floor(self):
-        labels = np.array([[True, False]])
-        _, pred = as_node(np.array([[1.0, 0.0]]))
-        val = float(strong_cls_loss(pred, labels).values)
-        assert 0.0 < val <= -np.log(1.0 - BCE_EPS) + 1e-12
+    @pytest.mark.parametrize("loss", ONE_CELL_CLS_LOSSES.values(), ids=ONE_CELL_CLS_LOSSES.keys())
+    def test_extreme_logits_give_exact_finite_loss(self, loss):
+        # far beyond where a sigmoid rounds to 0 or 1: a wrong label costs
+        # |z| with gradient of magnitude 1, a right one costs nothing
+        for z in (-800.0, 800.0):
+            for y in (False, True):
+                tape, logit = as_node(np.array([[z]]))
+                val = loss(logit, y)
+                grad = ad.backward(tape, val).wrt(logit)
+                if (z > 0) == y:
+                    assert float(val.values) == 0.0 and grad[0, 0] == 0.0
+                else:
+                    assert float(val.values) == abs(z)
+                    assert grad[0, 0] == (1.0 if z > 0 else -1.0)
 
     def test_hand_case(self):
+        # logits of the probabilities 0.9 and 0.2
         labels = np.array([[True, False]])
-        _, pred = as_node(np.array([[0.9, 0.2]]))
+        _, logits = as_node(np.array([[np.log(9.0), np.log(0.25)]]))
         expect = -(np.log(0.9) + np.log(0.8)) / 2.0
-        assert float(strong_cls_loss(pred, labels).values) == pytest.approx(expect, abs=1e-10)
+        assert float(strong_cls_loss(logits, labels).values) == pytest.approx(expect, abs=1e-10)
         assert expect == pytest.approx(0.1643, abs=5e-5)
 
     def test_gradient(self):
         rng = np.random.default_rng(2)
         labels = rng.random((3, 3)) < 0.5
-        point = rng.uniform(0.1, 0.9, (3, 3))
+        point = rng.uniform(-3.0, 3.0, (3, 3))
         res = ad.grad_check(lambda p: strong_cls_loss(p, labels), point)
         assert res.max_rel_error <= 1e-6
+
+    @pytest.mark.parametrize("loss", ONE_CELL_CLS_LOSSES.values(), ids=ONE_CELL_CLS_LOSSES.keys())
+    def test_gradient_at_logits_up_to_40(self, loss):
+        # one cell per check, so no other cell's rounding hides a small
+        # gradient; the range reaches well past |z| = 16.1, where clamping
+        # the probability to [1e-7, 1 - 1e-7] would flatten the loss
+        for z in np.concatenate([np.linspace(-40.0, 40.0, 33), [-16.2, 16.2]]):
+            for y in (False, True):
+                res = ad.grad_check(lambda p: loss(p, y), np.array([[z]]))
+                assert res.max_rel_error <= 1e-6, (z, y, res.max_rel_error)
 
 
 class TestWeakLosses:
@@ -83,33 +111,33 @@ class TestWeakLosses:
 
     def test_correct_predictions_near_zero(self):
         wg = self.weak()
-        _, pred = as_node(np.array([[[1.0, 0.5], [0.5, 0.0]]]))
-        assert float(weak_cls_loss(pred, [wg]).values) <= 1e-6
+        _, logits = as_node(np.array([[[40.0, 0.0], [0.0, -40.0]]]))
+        assert float(weak_cls_loss(logits, [wg]).values) <= 1e-6
 
     def test_uniform_half_ln2(self):
         pos = np.array([[True, True], [False, False]])
         neg = np.array([[False, False], [True, True]])
         wg = WeakGrids(pos, neg, 2)
-        _, pred = as_node(np.full((1, 2, 2), 0.5))
-        assert float(weak_cls_loss(pred, [wg]).values) == pytest.approx(np.log(2.0))
+        _, logits = as_node(np.zeros((1, 2, 2)))
+        assert float(weak_cls_loss(logits, [wg]).values) == pytest.approx(np.log(2.0))
 
     def test_unannotated_cells_ignored(self):
         wg = self.weak()
-        base = np.array([[0.8, 0.3], [0.6, 0.2]])
-        _, pred1 = as_node(base[None])
-        l1 = float(weak_cls_loss(pred1, [wg]).values)
+        base = np.array([[1.4, -0.8], [0.4, -1.4]])
+        _, logits1 = as_node(base[None])
+        l1 = float(weak_cls_loss(logits1, [wg]).values)
         bumped = base.copy()
-        bumped[0, 1] = 0.99
-        bumped[1, 0] = 0.01
-        _, pred2 = as_node(bumped[None])
-        l2 = float(weak_cls_loss(pred2, [wg]).values)
+        bumped[0, 1] = 4.6
+        bumped[1, 0] = -4.6
+        _, logits2 = as_node(bumped[None])
+        l2 = float(weak_cls_loss(logits2, [wg]).values)
         assert l1 == l2
 
     def test_empty_omega_rejected(self):
         wg = WeakGrids(np.zeros((2, 2), dtype=bool), np.zeros((2, 2), dtype=bool), 0)
-        _, pred = as_node(np.full((1, 2, 2), 0.5))
+        _, logits = as_node(np.zeros((1, 2, 2)))
         with pytest.raises(ValueError):
-            weak_cls_loss(pred, [wg])
+            weak_cls_loss(logits, [wg])
 
     def test_count_loss_values(self):
         _, pred = as_node(np.full((2, 2), 2.5))

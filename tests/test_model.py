@@ -104,7 +104,7 @@ class TestForward:
         for i, cat in enumerate(cats):
             one = model.forward_on_tape(ad.Tape(), images[i], cat)
             np.testing.assert_allclose(y_cnt[i], one.y_cnt.values, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(y_cls[i], one.y_cls.values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(y_cls[i], ad.sigmoid(one.cls_logits.values), rtol=1e-12, atol=0)
 
     def test_batch_category_validation(self):
         model = CountModel.create()
@@ -126,10 +126,10 @@ class TestForward:
             assert y_cnt.shape == (n, 8, 8) and y_cls.shape == (n, 8, 8)
             for i in range(n):
                 # a single image is a one-row stack, so the reference is the
-                # training forward of that image
+                # training forward of that image, its logits through the sigmoid
                 one = model.forward_on_tape(ad.Tape(), images[i], row_cats[i])
                 np.testing.assert_array_equal(y_cnt[i], one.y_cnt.values)
-                np.testing.assert_array_equal(y_cls[i], one.y_cls.values)
+                np.testing.assert_array_equal(y_cls[i], ad.sigmoid(one.cls_logits.values))
 
     def test_chunked_stack_category_validation(self):
         model = CountModel.create()
@@ -149,7 +149,7 @@ class TestForward:
         trained = model.forward_on_tape(ad.Tape(), images, cats)
         y_cnt, y_cls = model.forward(images, cats)
         assert y_cnt.tobytes() == trained.y_cnt.values.tobytes()
-        assert y_cls.tobytes() == trained.y_cls.values.tobytes()
+        assert y_cls.tobytes() == ad.sigmoid(trained.cls_logits.values).tobytes()
         # a constant image through the guidance forward records nothing
         for i, cat in enumerate(cats):
             grid = model.count_on_tape(images[i : i + 1], model.frozen_conditioning(cat))
@@ -157,13 +157,13 @@ class TestForward:
             assert grid.tobytes() == trained.y_cnt.values[i : i + 1].tobytes()
 
     def test_each_conv_layer_is_one_tape_node(self):
-        # 23 weight leaves and 30 interior nodes; a conv layer's bias and
-        # rectifier live inside its conv2d node
+        # 23 weight leaves and 29 interior nodes, the last the class logits;
+        # a conv layer's bias and rectifier live inside its conv2d node
         model = CountModel.create(SMALL)
         tape = ad.Tape()
         model.forward_on_tape(tape, np.zeros((IMAGES_PER_FORWARD, 16, 16)), 0)
         assert len(model.weights) == 23
-        assert len(tape) == 53
+        assert len(tape) == 52
         # guidance: the image is the only leaf, and the count path records
         # its 13 descendants (reshape, three stages, two gates, upsample,
         # concat, fuse, count head, count conv, softplus, reshape)
@@ -194,7 +194,7 @@ class TestForward:
         assert np.abs(got_grad).max() > 0.0
         # image leaf, forward and two loss nodes; the count path records
         # no weight leaves, and neither the class head's conv nor its chain
-        assert (ref_nodes, got_nodes) == (57, 16)
+        assert (ref_nodes, got_nodes) == (56, 16)
         stack = np.stack([img, img[::-1], img.T])
         plain = model.count_on_tape(stack, cond)
         assert plain.tobytes() == model.forward_on_tape(ad.Tape(), stack, cat).y_cnt.values.tobytes()
@@ -234,7 +234,7 @@ class TestGradients:
             # nudges single weight coordinates through the plain forward
             tape = ad.Tape()
             fp = CountModel(cfg, base.weights).forward_on_tape(tape, img, 1)
-            loss = ad.add(ad.reduce_sum(fp.y_cnt), ad.reduce_sum(fp.y_cls))
+            loss = ad.add(ad.reduce_sum(fp.y_cnt), ad.reduce_sum(ad.sigmoid(fp.cls_logits)))
             analytic = ad.backward(tape, loss).wrt(fp.params[wname])
 
             w0 = base.weights[wname]
@@ -414,9 +414,9 @@ class TestCounts:
             b = len(stack[i : i + k])
             x = stack[i : i + k].reshape(b, 64, 64, 1)
             cond = model._conditioning(w, cats[i : i + k])
-            cnt, cls = model._network(w, x, cond, (b, 8, 8))
+            cnt, logits = model._network(w, x, cond, (b, 8, 8))
             assert cnt.tobytes() == y_cnt[i : i + k].tobytes()
-            assert cls.tobytes() == y_cls[i : i + k].tobytes()
+            assert ad.sigmoid(logits).tobytes() == y_cls[i : i + k].tobytes()
 
     def test_kappa_zero_applies_no_class_filter(self):
         # a class logit bias of -1000 underflows every class probability to
@@ -549,6 +549,11 @@ class TestConfig:
             ModelConfig(channels=(4, 8))
         with pytest.raises(ValueError):
             ModelConfig(num_categories=0)
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_fused_channels_must_be_positive(self, width):
+        with pytest.raises(ValueError, match=f"fused_channels must be positive, got {width}"):
+            ModelConfig(fused_channels=width)
 
     def test_legacy_grid_factor(self):
         cfg = ModelConfig(input_size=32)
