@@ -48,7 +48,7 @@ print(f"density map total     = {den.total:.12f}  (error {abs(den.total - q):.2e
 
 # The classification grid marks which cells contain any target pixels.
 cls = strong_class_grid(masks, scene.shape)
-print(f"cells with target mass: {int(cls.grid.sum())} of {cls.grid.size}")
+print(f"cells with target mass: {int(cls.sum())} of {cls.size}")
 
 # Cell-level view: cardinality mass where the objects actually are.
 print("\ncardinality map (x100, rounded):")

@@ -16,8 +16,7 @@ from countgrad.harness import (
     StageData,
     TrainConfig,
     evaluate,
-    size_bias_sweep,
-    size_class_drift,
+    size_bias_tables,
     train_stage,
 )
 from countgrad.model import CountModel, ModelConfig
@@ -42,7 +41,7 @@ for target, sigma in (("cardinality", None), ("density", 4.0)):
     print(f"{target:12s} twin: eval MAE {evaluate(model, test).mae:.2f}")
 
 ratios = (1.0, 1.5, 2.0, 3.0)
-rows = size_bias_sweep(twins, test, ratios)
+rows, cls_rows = size_bias_tables(twins, test, ratios, by_size_class=True)
 print("\nmean signed drift (objects) by downscale ratio:")
 print("  ratio   " + "  ".join(f"{r:>6.1f}" for r in ratios))
 for name in twins:
@@ -50,5 +49,6 @@ for name in twins:
     print(f"  {name:12s}" + "  ".join(f"{d:+6.2f}" for d in drifts))
 
 print("\ndensity twin, drift by object size class (0 small .. 2 large):")
-for row in size_class_drift(twins["density"], "density", test, (2.0, 3.0)):
-    print(f"  ratio {row.ratio}: class {row.size_class} drift {row.mean_drift:+.2f} (n={row.n})")
+for row in cls_rows:
+    if row.model == "density" and row.ratio in (2.0, 3.0):
+        print(f"  ratio {row.ratio}: class {row.size_class} drift {row.mean_drift:+.2f} (n={row.n})")

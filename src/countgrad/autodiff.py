@@ -652,9 +652,6 @@ class GradCheckResult:
     kink_coords: list[int] = field(default_factory=list)
     errors: np.ndarray | None = None
 
-    def __float__(self) -> float:
-        return self.max_rel_error
-
 
 def grad_check(fn, point, step: float = 1e-5) -> GradCheckResult:
     """Check ``fn``'s gradient at ``point`` against central finite differences.

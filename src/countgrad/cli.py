@@ -171,6 +171,12 @@ def _read_corpus_at(section, key) -> Corpus:
     return read_corpus(path)
 
 
+def _checkpoint_at(path) -> CountModel:
+    if not os.path.exists(path):
+        raise ConfigError(f"checkpoint not found: {path}")
+    return load_checkpoint(path)
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -216,9 +222,7 @@ def _load_model(cfg):
     s = _section(cfg, "model")
     init = s.get("init_checkpoint")
     if init:
-        if not os.path.exists(init):
-            raise ConfigError(f"checkpoint not found: {init}")
-        return load_checkpoint(init)
+        return _checkpoint_at(init)
     return CountModel.create(_read(cfg, "model", ModelConfig))
 
 
@@ -256,7 +260,7 @@ def cmd_train(cfg, seed, outdir):
 
 def cmd_eval(cfg, seed, outdir):
     s = _section(cfg, "eval", required=True)
-    model = load_checkpoint(_require(s, "checkpoint"))
+    model = _checkpoint_at(_require(s, "checkpoint"))
     corpus = _read_corpus_at(s, "corpus")
     kappa = _get(s, "kappa", 0.0)
 
@@ -292,11 +296,10 @@ def cmd_size_bias(cfg, seed, outdir):
     corpus = _read_corpus_at(s, "corpus")
     ratios = _get(s, "ratios", SIZE_BIAS_RATIOS)
     by_size_class = _get(s, "by_size_class", False)
-    models = {}
-    for name, path in _named_checkpoints(_require(s, "checkpoints")).items():
-        if not os.path.exists(path):
-            raise ConfigError(f"checkpoint not found: {path}")
-        models[name] = load_checkpoint(path)
+    models = {
+        name: _checkpoint_at(path)
+        for name, path in _named_checkpoints(_require(s, "checkpoints")).items()
+    }
 
     rows, cls_rows = size_bias_tables(models, corpus, ratios, by_size_class)
     table_path = os.path.join(outdir, "size_bias.csv")
@@ -328,7 +331,7 @@ def cmd_size_bias(cfg, seed, outdir):
 
 def cmd_threshold_sweep(cfg, seed, outdir):
     s = _section(cfg, "threshold-sweep", required=True)
-    model = load_checkpoint(_require(s, "checkpoint"))
+    model = _checkpoint_at(_require(s, "checkpoint"))
     corpus = _read_corpus_at(s, "corpus")
     kappas = _get(s, "kappas", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
 
@@ -348,7 +351,7 @@ def cmd_guide(cfg, seed, outdir):
     s = _section(cfg, "guide", required=True)
     q_req = _require(s, "q_req", 0.0)
     gcfg = _read(cfg, "guide", GuidanceConfig, q_req=q_req)
-    model = load_checkpoint(_require(s, "checkpoint"))
+    model = _checkpoint_at(_require(s, "checkpoint"))
     rng_seed = seed if seed is not None else _get(s, "seed", 0)
     rng = np.random.default_rng(rng_seed)
     # Default start: two blobs short of the request. The counter's

@@ -3,7 +3,9 @@
 Scenes contain disks (category 0) and squares (category 1). Each sample
 targets one category: its instances are counted and point-annotated, while
 instances of the other kind act as distractors that the classification
-branch must learn to reject. Generation is deterministic: every scene id
+branch must learn to reject. The points are checked against the target
+category's masks in the rendered scene itself; a distractor's mask counts
+as off-mask for that check. Generation is deterministic: every scene id
 gets its own rng stream derived from (seed, id), so corpora are
 reproducible and parallelizable without ordering effects.
 
@@ -228,13 +230,8 @@ def sample_scene(spec: SceneSpec, rng: np.random.Generator) -> SceneSample:
 
     points = PointAnnotations(positive, negative)
     # containment invariants hold by construction; keep them checked anyway
-    points.validate_against(_target_only(scene, target_cat))
+    points.validate_against(scene, target_cat)
     return SceneSample(scene, points, target_cat)
-
-
-def _target_only(scene: Scene, category_id: int) -> Scene:
-    insts = tuple(i for i in scene.instances if i.category_id == category_id)
-    return Scene(scene.image, insts, scene.background)
 
 
 def make_corpus(
@@ -249,6 +246,8 @@ def make_corpus(
     seed. Each scene's stream is independent, so generation order (or
     parallel generation) cannot change the result.
     """
+    if first_id < 0:
+        raise ValueError(f"first_id must be non-negative, got {first_id}")
     items = []
     for i in range(n_scenes):
         sid = first_id + i

@@ -1,7 +1,9 @@
-"""Comparative experiments: size-bias sweep, threshold sweep, ablations.
+"""Comparative experiments: size-bias tables, threshold sweep, ablations.
 
-These return plain row dataclasses; persistence (CSV, summaries) is the
-command-line layer's job.
+One function, ``size_bias_tables``, measures count drift under
+downscaling, per model and ratio and, if asked, per object size class;
+``size_bias_sweep`` is its first table alone. These return plain row
+dataclasses; persistence (CSV, summaries) is the command-line layer's job.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "SIZE_BIAS_RATIOS",
     "size_bias_tables",
     "size_bias_sweep",
-    "size_class_drift",
     "threshold_sweep",
     "run_ablation",
 ]
@@ -68,15 +69,25 @@ class AblationRow:
 SIZE_BIAS_RATIOS = (1.0, 1.5, 2.0, 3.0, 4.0)
 
 
-def _drift_tables(
+def size_bias_tables(
     models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...], by_size_class: bool
 ) -> tuple[list[SizeBiasRow], list[SizeClassRow]]:
-    """Size-bias rows, and size-class rows if asked, from one set of base
-    and per-ratio predictions per model. Ratio 1.0 reuses the base; each
-    other ratio's rescaled images are counted in one ``model.counts`` call."""
+    """Count drift under downscaling per model and ratio, and per size class
+    if ``by_size_class`` (else that table is empty), from one set of predictions.
+
+    Drift compares against each scene's own full-size prediction, so
+    ``ratios`` must include 1.0, whose rows are identically zero. Each other
+    ratio's rescaled images are counted in one ``model.counts`` call.
+    Ground-truth counts (at most 30) are unchanged by rescaling, which is
+    what makes MAE at high ratios meaningful.
+    """
+    if 1.0 not in ratios:
+        raise ValueError("ratios must include 1.0 as the reference")
     samples = corpus.samples()
     cats = [s.category_id for s in samples]
     truths = [s.scene.count(s.category_id) for s in samples]
+    if any(t > 30 for t in truths):
+        raise ValueError("size-bias protocol expects counts of at most 30")
     classes = _size_classes(corpus) if by_size_class else np.zeros(0)
     present = np.unique(classes).tolist()  # ascending; absent classes get no row
     rows, cls_rows = [], []
@@ -96,28 +107,10 @@ def _drift_tables(
     return rows, cls_rows
 
 
-def size_bias_tables(
-    models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...], by_size_class: bool
-) -> tuple[list[SizeBiasRow], list[SizeClassRow]]:
-    """``size_bias_sweep``'s checks and rows, plus every model's
-    ``size_class_drift`` rows if asked, from the same predictions."""
-    if 1.0 not in ratios:
-        raise ValueError("ratios must include 1.0 as the reference")
-    if any(s.scene.count(s.category_id) > 30 for s in corpus.samples()):
-        raise ValueError("size-bias protocol expects counts of at most 30")
-    return _drift_tables(models, corpus, ratios, by_size_class)
-
-
 def size_bias_sweep(
     models: dict[str, CountModel], corpus: Corpus, ratios: tuple[float, ...] = SIZE_BIAS_RATIOS
 ) -> list[SizeBiasRow]:
-    """Count drift under progressive downscaling, per model and ratio.
-
-    Drift compares against each scene's own full-size prediction, so the
-    ratio-1.0 rows are identically zero by construction. Ground-truth
-    counts are unchanged by rescaling, which is what makes MAE at high
-    ratios meaningful.
-    """
+    """``size_bias_tables``' size-bias rows alone."""
     return size_bias_tables(models, corpus, ratios, by_size_class=False)[0]
 
 
@@ -130,13 +123,6 @@ def _size_classes(corpus: Corpus) -> np.ndarray:
     areas = np.asarray(areas)
     lo, hi = np.quantile(areas, [1 / 3, 2 / 3])
     return np.digitize(areas, [lo, hi])
-
-
-def size_class_drift(
-    model: CountModel, name: str, corpus: Corpus, ratios: tuple[float, ...]
-) -> list[SizeClassRow]:
-    """Signed drift broken down by object size class, per ratio."""
-    return _drift_tables({name: model}, corpus, ratios, by_size_class=True)[1]
 
 
 def threshold_sweep(

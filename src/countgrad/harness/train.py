@@ -165,7 +165,7 @@ def _prepare_strong(corpus: Corpus, cfg: TrainConfig) -> list[_Example]:
         else:
             sigma = cfg.sigma if cfg.sigma is not None else default_sigma(masks)
             grid = gaussian_density(sample.points.positive, sigma, shape).grid
-        cls = strong_class_grid(masks, shape).grid
+        cls = strong_class_grid(masks, shape)
         out.append(_Example(scene.image, sample.category_id, True, grid, cls))
     return out
 

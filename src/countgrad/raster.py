@@ -121,14 +121,14 @@ class PointAnnotations:
         """K, the number of annotated instances."""
         return self.positive.shape[0]
 
-    def validate_against(self, scene: Scene) -> None:
-        """Check containment invariants against a scene's visible masks."""
-        if self.count != scene.count():
-            raise ValueError(
-                f"{self.count} positive points for {scene.count()} instances"
-            )
+    def validate_against(self, scene: Scene, category_id: int) -> None:
+        """Check containment invariants against the visible masks of
+        ``category_id``; other categories' masks count as off-mask."""
+        q = scene.count(category_id)
+        if self.count != q:
+            raise ValueError(f"{self.count} positive points for {q} instances")
         union = np.zeros(scene.shape, dtype=bool)
-        for m in scene.masks():
+        for m in scene.masks(category_id):
             union |= m.pixels
         for r, c in self.positive:
             if not union[r, c]:

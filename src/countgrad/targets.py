@@ -4,9 +4,11 @@ The cardinality map spreads each instance's unit mass uniformly over its
 mask pixels and pools to grid cells, so the map total equals the object
 count exactly (up to 64-bit rounding). The Gaussian density map is the
 classical alternative kept as an ablation baseline; its total only
-approximates the count. Class and weak-label grids supply the targets for
-the classification head. Every target lives on the same fixed grid of
-GRID_FACTOR-pixel cells, so an image extent it does not divide is rejected.
+approximates the count. The classification head's targets are the strong
+class grid, a plain bool array of the cells any target mask touches, and
+the weak-label grids of point-annotated cells. Every target lives on the
+same fixed grid of GRID_FACTOR-pixel cells, so an image extent it does not
+divide is rejected.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .raster import InstanceMask, PointAnnotations
 __all__ = [
     "CardinalityMap",
     "DensityMap",
-    "ClassGrid",
     "WeakGrids",
     "pixel_cardinality",
     "grid_cardinality",
@@ -57,15 +58,6 @@ class DensityMap:
     @property
     def total(self) -> float:
         return float(self.grid.sum())
-
-
-@dataclass(frozen=True)
-class ClassGrid:
-    grid: np.ndarray  # bool (Hg, Wg)
-
-    def __post_init__(self):
-        if self.grid.dtype != np.bool_:
-            raise ValueError("class grid must be boolean")
 
 
 @dataclass(frozen=True)
@@ -148,14 +140,13 @@ def gaussian_density(points: np.ndarray, sigma: float, image_shape: tuple[int, i
     return DensityMap(grid)
 
 
-def strong_class_grid(masks: list[InstanceMask], image_shape: tuple[int, int]) -> ClassGrid:
-    """Cell label 1 wherever any mask pixel of the target category falls."""
+def strong_class_grid(masks: list[InstanceMask], image_shape: tuple[int, int]) -> np.ndarray:
+    """Bool (Hg, Wg) grid: True wherever any mask pixel of the target category falls."""
     hg, wg = _grid_shape(image_shape)
     union = np.zeros(image_shape, dtype=bool)
     for m in masks:
         union |= m.pixels
-    cells = union.reshape(hg, GRID_FACTOR, wg, GRID_FACTOR).any(axis=(1, 3))
-    return ClassGrid(cells)
+    return union.reshape(hg, GRID_FACTOR, wg, GRID_FACTOR).any(axis=(1, 3))
 
 
 def weak_label_grids(points: PointAnnotations, image_shape: tuple[int, int]) -> WeakGrids:

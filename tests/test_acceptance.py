@@ -30,8 +30,7 @@ from countgrad.harness import (
     guide_optimize,
     init_blob_params,
     render_blob_scene,
-    size_bias_sweep,
-    size_class_drift,
+    size_bias_tables,
     train_stage,
 )
 from countgrad.harness.blob import inverse_softplus
@@ -426,10 +425,11 @@ def test_criterion_4_hybrid_ordering(capfd, hybrid_setup):
 
 
 def test_criterion_5_size_bias(capfd, twin_setup):
-    rows = size_bias_sweep(
+    rows, cls_rows = size_bias_tables(
         {"card": twin_setup["card"], "den": twin_setup["den"]},
         twin_setup["eval"],
         ratios=(1.0, 1.5, 2.0, 3.0),
+        by_size_class=True,
     )
     separated = []
     for ratio in (1.5, 2.0, 3.0):
@@ -437,9 +437,10 @@ def test_criterion_5_size_bias(capfd, twin_setup):
         den = next(r for r in rows if r.model == "den" and r.ratio == ratio)
         separated.append(card.mean_abs_drift < den.mean_abs_drift)
 
-    cls_rows = size_class_drift(twin_setup["den"], "den", twin_setup["eval"], (1.5, 2.0, 3.0))
+    # the density twin's drift per size class, averaged over the rescaled ratios
+    den_cls = [r for r in cls_rows if r.model == "den" and r.ratio in (1.5, 2.0, 3.0)]
     by_class = [
-        float(np.mean([r.mean_drift for r in cls_rows if r.size_class == c]))
+        float(np.mean([r.mean_drift for r in den_cls if r.size_class == c]))
         for c in (0, 1, 2)
     ]
     grows = by_class[0] < by_class[1] < by_class[2]
@@ -505,12 +506,13 @@ def test_criterion_7_threshold_semantics(capfd, strong_setup):
     images = [s.scene.image for s in strong_setup["test"].samples()[:100]]
     cats = [s.category_id for s in strong_setup["test"].samples()[:100]]
     kappas = [round(0.1 * i, 1) for i in range(10)]
-    exact = 0
-    monotone = True
-    for image, cat in zip(images, cats):
-        exact += model.thresholded_count(image, cat, 0.0) == model.predict_count(image, cat)
-        counts = [model.thresholded_count(image, cat, k) for k in kappas]
-        monotone &= all(a >= b for a, b in zip(counts, counts[1:]))
+    per_kappa = model.counts(images, cats, kappas)  # one list of 100 counts per kappa
+    exact = sum(
+        c == model.predict_count(image, cat) for c, image, cat in zip(per_kappa[0], images, cats)
+    )
+    monotone = all(
+        all(a >= b for a, b in zip(counts, counts[1:])) for counts in zip(*per_kappa)
+    )
     ok = exact == 100 and monotone
     verdict(
         capfd, 7,
@@ -551,8 +553,9 @@ def test_criterion_9_tiling_consistency(capfd, strong_setup):
 
     max_split_gap = 0.0
     errors = []
-    for image, cat, truth in composites:
-        tiled = model.tiled_count(image, cat, tile_size=64)
+    # all 49 composites in one call; each 128 px image counts as its four 64 px tiles
+    tiled_counts = model.counts([c[0] for c in composites], [c[1] for c in composites])[0]
+    for (image, cat, truth), tiled in zip(composites, tiled_counts):
         parts = [
             model.predict_count(image[r : r + 64, c : c + 64], cat)
             for r in (0, 64)

@@ -114,6 +114,13 @@ class TestGenData:
         assert "[corpus] n must be at least 1" in capsys.readouterr().err
         assert not (out / "corpus.bin").exists()
 
+    def test_negative_first_id_rejected_before_writing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "gneg.ini", TINY_SCENE + "\n[corpus]\nn = 2\nfirst_id = -3\n")
+        out = tmp_path / "o"
+        assert main(["gen-data", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: first_id must be non-negative, got -3\n"
+        assert not (out / "corpus.bin").exists()
+
 
 TRAINING = """
     lr_heads = 2e-3
@@ -637,6 +644,27 @@ class TestExperimentCommands:
         )
         assert main(["ablate", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "unknown variant" in capsys.readouterr().err
+
+
+# One config per command that reads a checkpoint; train reads [model] init_checkpoint.
+MISSING_CHECKPOINT = {
+    "eval": "[eval]\ncheckpoint = {ckpt}\ncorpus = {corpus}\n",
+    "threshold-sweep": "[threshold-sweep]\ncheckpoint = {ckpt}\ncorpus = {corpus}\n",
+    "guide": "[guide]\ncheckpoint = {ckpt}\nq_req = 2\n",
+    "size-bias": "[size-bias]\ncheckpoints = a={ckpt}\ncorpus = {corpus}\n",
+    "train": "[model]\ninit_checkpoint = {ckpt}\n[train]\ntrain_corpus = {corpus}\nval_corpus = {corpus}\n",
+}
+
+
+@pytest.mark.parametrize("command", sorted(MISSING_CHECKPOINT))
+def test_missing_checkpoint_is_reported_by_name(command, trained, tmp_path, capsys):
+    _, _, _, val_corpus = trained
+    ckpt = str(tmp_path / "nope.ckpt")
+    cfg = write_config(tmp_path, "c.ini", MISSING_CHECKPOINT[command].format(ckpt=ckpt, corpus=val_corpus))
+    out = tmp_path / "o"
+    assert main([command, cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: checkpoint not found: {ckpt}\n"
+    assert os.listdir(out) == []
 
 
 def test_console_entry_point(tmp_path):

@@ -115,6 +115,10 @@ class TestSampling:
         with pytest.raises(ValueError):
             small_spec(radius_range=(0.0, 2.0))
 
+    def test_negative_first_id_rejected(self):
+        with pytest.raises(ValueError, match="first_id must be non-negative, got -3"):
+            make_corpus(small_spec(), 2, first_id=-3)
+
     def test_spec_json_round_trip(self):
         spec = small_spec(distractor_range=(1, 2), shape_kinds=("square",))
         assert SceneSpec.from_json(spec.to_json()) == spec

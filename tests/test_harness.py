@@ -26,7 +26,7 @@ from countgrad.harness import (
     render_blob_scene,
     run_ablation,
     size_bias_sweep,
-    size_class_drift,
+    size_bias_tables,
     threshold_sweep,
     train_stage,
 )
@@ -679,25 +679,39 @@ class TestExperiments:
             if row.ratio == 1.0:
                 assert row.mean_drift == 0.0 and row.mean_abs_drift == 0.0
 
-    def test_size_bias_requires_reference_ratio(self):
-        with pytest.raises(ValueError):
-            size_bias_sweep({"a": CountModel.create(TINY_MODEL)}, self.make_eval_corpus(), ratios=(2.0,))
+    @pytest.mark.parametrize("by_size_class", [False, True])
+    def test_size_bias_requires_reference_ratio(self, by_size_class):
+        models = {"a": CountModel.create(TINY_MODEL)}
+        with pytest.raises(ValueError, match="1.0"):
+            size_bias_tables(models, self.make_eval_corpus(), (2.0,), by_size_class)
 
-    def test_size_bias_count_cap(self):
+    @pytest.mark.parametrize("by_size_class", [False, True])
+    def test_size_bias_count_cap(self, by_size_class):
         big = make_corpus(
             tiny_spec(image_size=64, count_range=(31, 33), radius_range=(2.0, 3.0)), 2
         )
         with pytest.raises(ValueError, match="30"):
-            size_bias_sweep({"a": CountModel.create()}, big, ratios=(1.0, 2.0))
+            size_bias_tables({"a": CountModel.create()}, big, (1.0, 2.0), by_size_class)
 
     def test_size_class_rows(self):
         corpus = make_corpus(tiny_spec(image_size=64, count_range=(2, 4), radius_range=(1.5, 5.0)), 9)
-        rows = size_class_drift(CountModel.create(), "m", corpus, (1.0, 2.0))
-        assert {r.size_class for r in rows} == {0, 1, 2}
-        assert sum(r.n for r in rows if r.ratio == 1.0) == 9
-        for r in rows:
+        models = {"m": CountModel.create(), "n": CountModel.create(ModelConfig(seed=1))}
+        rows, cls_rows = size_bias_tables(models, corpus, (1.0, 2.0), by_size_class=True)
+        assert rows == size_bias_sweep(models, corpus, (1.0, 2.0))
+        assert size_bias_tables(models, corpus, (1.0, 2.0), by_size_class=False) == (rows, [])
+        # one row per model, ratio and size class, in that order
+        keys = [(r.model, r.ratio, r.size_class) for r in cls_rows]
+        assert keys == [(m, q, c) for m in models for q in (1.0, 2.0) for c in (0, 1, 2)]
+        for r in cls_rows:
             if r.ratio == 1.0:
                 assert r.mean_drift == 0.0
+        for name in models:
+            assert sum(r.n for r in cls_rows if r.model == name and r.ratio == 1.0) == 9
+        # each model's size-class drifts average back to its size-bias row, weighted by n
+        for row in rows:
+            parts = [r for r in cls_rows if r.model == row.model and r.ratio == row.ratio]
+            total = sum(r.mean_drift * r.n for r in parts)
+            assert total / 9 == pytest.approx(row.mean_drift, abs=1e-12)
 
     def test_threshold_sweep(self):
         corpus = self.make_eval_corpus()

@@ -333,10 +333,26 @@ class TestPointAnnotations:
         m = square_mask((4.0, 4.0), 1.0, (8, 8))
         scene = render_scene([ShapePaint(0, m, 0.8)], (8, 8))
         good = PointAnnotations(np.array([[4, 4]]), np.array([[0, 0]]))
-        good.validate_against(scene)
+        good.validate_against(scene, 0)
         with pytest.raises(ValueError):
-            PointAnnotations(np.array([[0, 0]]), np.zeros((0, 2), dtype=int)).validate_against(scene)
+            PointAnnotations(np.array([[0, 0]]), np.zeros((0, 2), dtype=int)).validate_against(scene, 0)
         with pytest.raises(ValueError):
-            PointAnnotations(np.array([[4, 4]]), np.array([[4, 3]])).validate_against(scene)
+            PointAnnotations(np.array([[4, 4]]), np.array([[4, 3]])).validate_against(scene, 0)
         with pytest.raises(ValueError):
-            PointAnnotations(np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int)).validate_against(scene)
+            PointAnnotations(np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int)).validate_against(scene, 0)
+
+    def test_validation_sees_one_category(self):
+        # a target square (category 0) and a distractor square (category 1)
+        target = square_mask((4.0, 4.0), 1.0, (16, 16))
+        distractor = square_mask((11.0, 11.0), 1.0, (16, 16))
+        scene = render_scene([ShapePaint(0, target, 0.8), ShapePaint(1, distractor, 0.6)], (16, 16))
+        none = np.zeros((0, 2), dtype=int)
+        # the distractor is neither counted nor a mask of the target category
+        PointAnnotations(np.array([[4, 4]]), np.array([[11, 11]])).validate_against(scene, 0)
+        PointAnnotations(np.array([[11, 11]]), np.array([[4, 4]])).validate_against(scene, 1)
+        with pytest.raises(ValueError, match="lies on no mask"):
+            PointAnnotations(np.array([[11, 11]]), none).validate_against(scene, 0)
+        with pytest.raises(ValueError, match="2 positive points for 1 instances"):
+            PointAnnotations(np.array([[4, 4], [11, 11]]), none).validate_against(scene, 0)
+        with pytest.raises(ValueError, match="lies on a mask"):
+            PointAnnotations(np.array([[11, 11]]), np.array([[11, 10]])).validate_against(scene, 1)

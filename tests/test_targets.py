@@ -136,15 +136,19 @@ class TestGaussianDensity:
 class TestStrongClassGrid:
     def test_empty_scene(self):
         g = strong_class_grid([], (64, 64))
-        assert not g.grid.any()
-        assert g.grid.shape == (8, 8)
+        assert not g.any()
+
+    def test_returns_bool_grid_array(self):
+        g = strong_class_grid([square_mask((20.0, 30.0), 3.0, (64, 64))], (64, 64))
+        assert type(g) is np.ndarray
+        assert g.dtype == np.bool_ and g.shape == (8, 8)
 
     def test_full_cell_coverage(self):
         m = square_mask((3.5, 3.5), 3.9, (64, 64))  # covers pixels 0..7 exactly
         assert m.area == 64
         g = strong_class_grid([m], (64, 64))
-        assert g.grid[0, 0]
-        assert g.grid.sum() == 1
+        assert g[0, 0]
+        assert g.sum() == 1
 
     def test_matches_per_pixel_oracle(self):
         rng = np.random.default_rng(15)
@@ -155,7 +159,7 @@ class TestStrongClassGrid:
                 expect = any(
                     m.pixels[u * 8 : (u + 1) * 8, v * 8 : (v + 1) * 8].any() for m in masks
                 )
-                assert g.grid[u, v] == expect
+                assert g[u, v] == expect
 
 
 class TestWeakLabelGrids:
@@ -197,7 +201,7 @@ class TestWeakLabelGrids:
         b = disk_mask((40.0, 50.0), 4.0, (64, 64))
         scene = render_scene([ShapePaint(0, a, 0.8), ShapePaint(0, b, 0.8)], (64, 64))
         pts = PointAnnotations(np.array([[10, 10], [40, 50]]), np.array([[0, 63]]))
-        pts.validate_against(scene)
+        pts.validate_against(scene, 0)
         wg = weak_label_grids(pts, (64, 64))
         assert wg.positive[1, 1] and wg.positive[5, 6]
         assert wg.count == 2
