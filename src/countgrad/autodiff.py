@@ -23,14 +23,20 @@ that the arrays a step frees are reused by the next one rather than given
 back to the kernel (``_pin_malloc_thresholds``).
 
 A convolution layer is one node: :func:`conv2d` can add a per-channel bias
-and apply the leaky ReLU in place on its GEMM output. The rectifier, there
-and in :func:`leaky_relu`, is the branch-free ``max(x, slope * x)``, and
-its gradient scales by ``slope`` or 1 through the node's one bool mask.
+and apply the leaky ReLU in place on its GEMM output. For a one-channel
+input (the image) its im2col columns are one stack of the kernel's strided
+taps, used through its transpose. The rectifier, there and in
+:func:`leaky_relu`, is the branch-free ``max(x, slope * x)``, and its
+gradient scales by ``slope`` or 1 through the node's one bool mask.
 
 The blob renderer's disks are one node too: :func:`soft_disks` sums S
 soft-edged disks, evaluating each only inside a window around its centre
 (beyond it the sigmoid edge is below 1e-18), with a hand-written backward
 rule for centres, radii and heights.
+
+Every logistic is ``scipy.special.expit`` bit for bit, without scipy: it
+exponentiates through a reversed view, where numpy's float64 ``exp`` calls
+libm's (``_logistic``).
 """
 
 from __future__ import annotations
@@ -300,37 +306,22 @@ def concat_channels(a: DiffArray, b: DiffArray) -> DiffArray:
     return _recorded(out, (a, lambda g: g[..., :ca]), (b, lambda g: g[..., ca:]))
 
 
-def _libm_exp(t: float) -> float:
-    try:
-        return math.exp(t)
-    except OverflowError:  # raised where libm's exp returns inf
-        return math.inf
-
-
 def _logistic(x: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-x))`` with libm's ``exp``: ``scipy.special.expit``, bit for bit.
 
     One branch: ``exp(-x)`` overflows to inf for x < -709.78, giving 0, and
     falls below half an ulp of 1 for x > 36.7, giving 1. numpy's float64
-    ``exp`` is its own SIMD code and differs from libm in the last bit on a
-    few percent of inputs. Its complex ``exp`` calls C99 ``cexp``, whose
-    real part at a zero imaginary part is libm's ``exp``, except that glibc
-    rescales arguments above 709, landing 1 ulp off, and overflows above
-    709.78 with a warning. Elements with x < -709 therefore take
-    ``math.exp`` instead.
+    ``exp`` runs its own SIMD code on contiguous and positive-stride
+    operands, which differs from libm in the last bit on a few percent of
+    inputs; on a reversed view it takes its scalar loop, which calls libm's
+    ``exp``. So ``-x`` is stored back to front and exponentiated through a
+    reversed view, which puts the results in ``x``'s order.
     """
-    z = np.empty(x.shape, dtype=np.complex128)
-    np.negative(x, out=z)
-    low = x < -709.0
-    fix = np.count_nonzero(low)
-    if fix:
-        z[low] = 0.0
-    np.exp(z, out=z)
-    e = z.real
-    if fix:
-        e[low] = [_libm_exp(-t) for t in x[low]]
+    t = np.negative(np.ravel(x)[::-1])
+    with np.errstate(over="ignore"):
+        e = np.exp(t[::-1])
     e += 1.0
-    return np.divide(1.0, e)
+    return np.divide(1.0, e, out=e).reshape(np.shape(x))
 
 
 def sigmoid(x: DiffArray) -> DiffArray:
@@ -399,14 +390,26 @@ def _pad(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """(B*ho*wo, kh*kw*C) matrix of the receptive fields of a padded (B, H, W, C) input."""
+    """(B*ho*wo, kh*kw*C) matrix of the receptive fields of a padded (B, H, W, C) input.
+
+    With one channel it is the transpose of one (kh*kw, B*ho*wo) stack of
+    the strided taps, about twice as fast to build as the strided copy
+    below with its one-element inner axis. A GEMM on the left of it gives
+    the row-major matrix's bits; the kernel gradient's GEMM, with its
+    transpose on the left, does not at every size (``conv2d``).
+    """
     b, _, _, c = xp.shape
+    if c == 1:
+        taps = [
+            xp[:, i : i + stride * ho : stride, j : j + stride * wo : stride, 0]
+            for i in range(kh)
+            for j in range(kw)
+        ]
+        return np.stack(taps).reshape(kh * kw, b * ho * wo).T
+    xp = np.ascontiguousarray(xp)
     sb, sr, sc, sd = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(b, ho, wo, kh, kw, c),
-        strides=(sb, sr * stride, sc * stride, sr, sc, sd),
-        writeable=False,
+    windows = np.ndarray(
+        (b, ho, wo, kh, kw, c), xp.dtype, xp, 0, (sb, sr * stride, sc * stride, sr, sc, sd)
     )
     return windows.reshape(b * ho * wo, kh * kw * c)
 
@@ -474,15 +477,19 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
 
         def grad_input(g):
             g2 = g.reshape(b * ho * wo, co)
+            kt = kv.transpose(0, 1, 3, 2).copy()  # contiguous per-tap (C', C) kernels
             gxp = np.zeros((b, hp, wp, c))
             for i in range(kh):
                 for j in range(kw):
-                    tap = (g2 @ kv[i, j].T).reshape(b, ho, wo, c)
+                    tap = (g2 @ kt[i, j]).reshape(b, ho, wo, c)
                     gxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += tap
             return gxp[:, padding : padding + h, padding : padding + w].reshape(in_shape)
 
     def grad_kernel(g):
-        return (cols.T @ g.reshape(b * ho * wo, co)).reshape(kh, kw, c, co)
+        # row-major columns, copied from a one-channel input's tap-major stack,
+        # whose GEMM OpenBLAS sums in another order at some sizes
+        rows = np.ascontiguousarray(cols)
+        return (rows.T @ g.reshape(b * ho * wo, co)).reshape(kh, kw, c, co)
 
     def grad_bias(g):
         return _unbroadcast(g, (co,))
@@ -508,7 +515,8 @@ def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray
     """(n, n) sum over S soft-edged disks of ``height_s * logistic((radius_s - |p - c_s|) / softness)``.
 
     ``rows``, ``cols``, ``radius`` and ``height`` are (S,) arrays; the
-    centres ``c_s = (rows_s, cols_s)`` must lie in [0, n - 1]. The distance
+    centres ``c_s = (rows_s, cols_s)`` must lie in [0, n - 1], and radii,
+    heights and ``softness`` must be finite. The distance
     is ``sqrt(d² + 1e-9)``, whose gradient stays finite at the centre.
     Slot s is evaluated only inside a (2h+1)² window centred on
     ``rint(c_s)``, with h = min(⌈max(radius) + 42·softness⌉, n − 1): every
@@ -523,6 +531,9 @@ def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray
         raise ValueError(
             f"soft_disks expects four (S,) operands, got {[v.shape for v in (rv, cv, radv, hv)]}"
         )
+    for name, v in (("radius", radv), ("height", hv), ("softness", softness)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"soft_disks {name} must be finite, got {v}")
     if n < 1 or not softness > 0.0:
         raise ValueError(f"soft_disks needs n >= 1 and softness > 0, got {n}, {softness}")
     lim = n - 1
@@ -534,11 +545,16 @@ def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray
     offsets = np.arange(-h, h + 1.0)
     dr = ((ri[:, None] + offsets) - rv[:, None])[:, :, None]  # (S, w, 1) pixel row - centre
     dc = ((ci[:, None] + offsets) - cv[:, None])[:, None, :]  # (S, 1, w)
-    dist = np.sqrt(dr * dr + dc * dc + 1e-9)
+    dist = dr * dr + dc * dc  # (S, w, w)
+    dist += 1e-9
+    np.sqrt(dist, out=dist)
     inv = 1.0 / softness
-    edge = _logistic(inv * (radv[:, None, None] - dist))
+    disks = np.subtract(radv[:, None, None], dist)
+    disks *= inv
+    edge = _logistic(disks)
+    np.multiply(edge, hv[:, None, None], out=disks)
     padded = np.zeros((n + 2 * h, n + 2 * h))
-    for r0, c0, disk in zip(ri, ci, edge * hv[:, None, None]):
+    for r0, c0, disk in zip(ri.tolist(), ci.tolist(), disks):
         padded[r0 : r0 + w, c0 : c0 + w] += disk
     out = padded[h : h + n, h : h + n]
 
@@ -546,9 +562,15 @@ def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray
         """g's window under every slot, the edge's gradient, and that over the distance."""
         gp = np.zeros(padded.shape)
         gp[h : h + n, h : h + n] = g
-        gw = np.lib.stride_tricks.sliding_window_view(gp, (w, w))[ri, ci]  # (S, w, w)
-        dz = inv * (gw * hv[:, None, None] * edge * (1.0 - edge))
-        return gw, dz, dz / dist
+        s0, s1 = gp.strides
+        # (n, n, w, w): the window at each top-left corner; a centre's is at its rint
+        gw = np.ndarray((n, n, w, w), gp.dtype, gp, 0, (s0, s1, s0, s1))[ri, ci]
+        dz = gw * hv[:, None, None]
+        dz *= edge
+        q = np.subtract(1.0, edge)
+        dz *= q
+        dz *= inv
+        return gw, dz, np.divide(dz, dist, out=q)
 
     return _recorded(
         out,

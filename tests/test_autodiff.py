@@ -503,15 +503,10 @@ def _conv_reference(xv, kv, stride, padding, bv, slope, w):
 class TestConvKeptColumns:
     """A conv node whose kernel needs a gradient keeps its forward im2col columns."""
 
-    @pytest.mark.parametrize("extras", ["plain", "bias", "bias+slope"])
-    @pytest.mark.parametrize("ksize", [3, 1])
-    @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
-    def test_equals_the_rebuilding_reference_bit_for_bit(self, lead, stride, padding, ksize, extras):
-        rng = np.random.default_rng(90 + 4 * stride + 2 * padding + ksize)
-        xv = rng.normal(size=(*lead, 7, 6, 3))
-        kv = rng.normal(size=(ksize, ksize, 3, 4))
+    @staticmethod
+    def _check(rng, lead, stride, padding, ksize, c, extras):
+        xv = rng.normal(size=(*lead, 7, 6, c))
+        kv = rng.normal(size=(ksize, ksize, c, 4))
         bv = rng.normal(size=(4,)) if extras != "plain" else None
         slope = 0.1 if extras == "bias+slope" else None
         ho = (7 + 2 * padding - ksize) // stride + 1
@@ -530,6 +525,24 @@ class TestConvKeptColumns:
         assert grads.wrt(k).tobytes() == ref_gk.tobytes()
         if b is not None:
             assert grads.wrt(b).tobytes() == ref_gb.tobytes()
+
+    @pytest.mark.parametrize("extras", ["plain", "bias", "bias+slope"])
+    @pytest.mark.parametrize("ksize", [3, 1])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
+    def test_equals_the_rebuilding_reference_bit_for_bit(self, lead, stride, padding, ksize, extras):
+        rng = np.random.default_rng(90 + 4 * stride + 2 * padding + ksize)
+        self._check(rng, lead, stride, padding, ksize, 3, extras)
+
+    # one input channel: the columns are a stack of the strided taps, transposed
+    @pytest.mark.parametrize("extras", ["plain", "bias+slope"])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
+    def test_one_channel_columns_equal_the_reference_bit_for_bit(self, lead, stride, padding, extras):
+        rng = np.random.default_rng(70 + 4 * stride + 2 * padding + len(lead))
+        self._check(rng, lead, stride, padding, 3, 1, extras)
 
     @pytest.mark.parametrize("kernel_is_param", [False, True], ids=["constant", "parameter"])
     def test_only_a_kernel_gradient_keeps_the_columns(self, kernel_is_param):
@@ -553,6 +566,33 @@ class TestConvKeptColumns:
         else:
             assert tape._parents[y.node_id] == (x.node_id,)
             assert held < cols_bytes // 8
+
+
+def _soft_disks_reference(rows, cols, radius, height, n, softness, g):
+    """soft_disks' image and its four gradients for the loss sum(image * g), in plain numpy.
+
+    The node's formulas and association orders, written out per slot with a
+    fresh array for every intermediate.
+    """
+    h = int(min(np.ceil(radius.max() + 42.0 * softness), n - 1))
+    w = 2 * h + 1
+    inv = 1.0 / softness
+    offsets = np.arange(-h, h + 1.0)
+    padded = np.zeros((n + 2 * h, n + 2 * h))
+    gp = np.zeros(padded.shape)
+    gp[h : h + n, h : h + n] = g
+    grads = np.zeros((4, len(rows)))
+    for s in range(len(rows)):
+        r0, c0 = int(np.rint(rows[s])), int(np.rint(cols[s]))
+        dr = ((r0 + offsets) - rows[s])[:, None]
+        dc = ((c0 + offsets) - cols[s])[None, :]
+        dist = np.sqrt(dr * dr + dc * dc + 1e-9)
+        edge = expit(inv * (radius[s] - dist))
+        padded[r0 : r0 + w, c0 : c0 + w] += edge * height[s]
+        gw = gp[r0 : r0 + w, c0 : c0 + w]
+        dz = inv * (gw * height[s] * edge * (1.0 - edge))
+        grads[:, s] = ((dz / dist * dr).sum(), (dz / dist * dc).sum(), dz.sum(), (gw * edge).sum())
+    return (padded[h : h + n, h : h + n], *grads)
 
 
 class TestSoftDisks:
@@ -582,13 +622,40 @@ class TestSoftDisks:
         with pytest.raises(ValueError, match=r"centres must lie in \[0, 15\]"):
             ad.soft_disks(np.array([row]), np.array([col]), np.ones(1), np.ones(1), 16, 0.35)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["radius", "height", "softness"])
+    def test_non_finite_operands_rejected_by_name(self, operand, value):
+        args = dict(radius=np.array([2.0, 1.0]), height=np.array([1.0, 0.5]), softness=0.35)
+        if operand == "softness":
+            args["softness"] = value
+        else:
+            args[operand][1] = value
+        with pytest.raises(ValueError, match=f"soft_disks {operand} must be finite"):
+            ad.soft_disks(np.array([3.0, 8.0]), np.array([4.0, 9.0]), args["radius"], args["height"],
+                          16, args["softness"])
+
+    @pytest.mark.parametrize("n", [64, 16])
+    def test_equals_the_plain_reference_bit_for_bit(self, n):
+        scene = {k: np.array(v) for k, v in self.SCENES[n].items()}
+        scene["height"] = np.array([0.7, -0.4, 1.1])
+        weights = np.random.default_rng(n).normal(size=(n, n))
+        tape = ad.Tape()
+        params = {k: ad.new_param(tape, v) for k, v in scene.items()}
+        img = ad.soft_disks(*params.values(), n, 0.35)
+        grads = ad.backward(tape, ad.reduce_sum(ad.mul(img, weights)))
+
+        ref_img, *ref_grads = _soft_disks_reference(*scene.values(), n, 0.35, weights)
+        assert img.values.tobytes() == ref_img.tobytes()
+        for k, ref in zip(scene, ref_grads):
+            assert grads.wrt(params[k]).tobytes() == ref.tobytes(), k
+
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 def _logistic_points():
-    """A dense grid over [-800, 800], the band where glibc's cexp rescales, and edge values."""
+    """A dense grid over [-800, 800], the band where exp(-x) overflows, and edge values."""
     tiny = np.finfo(np.float64).smallest_subnormal
     edges = [0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1.7e308, -1.7e308, np.inf, -np.inf]
     return np.concatenate(
@@ -596,13 +663,23 @@ def _logistic_points():
     )
 
 
-@pytest.mark.filterwarnings("error")  # complex exp's overflow warning stays silenced
+def _assert_expit_bits(got, x):
+    np.testing.assert_array_equal(
+        _bits(got),
+        _bits(expit(x)),
+        err_msg=f"numpy {np.__version__}: autodiff._logistic relies on numpy's float64 exp taking "
+        "its scalar loop, which calls libm's exp, on a reversed view; a numpy that vectorizes "
+        "that loop no longer matches scipy.special.expit",
+    )
+
+
+@pytest.mark.filterwarnings("error")  # exp(-x)'s overflow below x = -709.78 stays silenced
 class TestLogistic:
     """Every logistic in the library is scipy's expit, bit for bit."""
 
     def test_sigmoid_values(self):
         x = _logistic_points()
-        np.testing.assert_array_equal(_bits(ad.sigmoid(x)), _bits(expit(x)))
+        _assert_expit_bits(ad.sigmoid(x), x)
 
     def test_sigmoid_gradient(self):
         x = _logistic_points()[:-2]  # parameters are finite
@@ -610,7 +687,7 @@ class TestLogistic:
         p = ad.new_param(tape, x)
         y = ad.sigmoid(p)
         grad = ad.backward(tape, ad.reduce_sum(y)).wrt(p)
-        np.testing.assert_array_equal(_bits(y.values), _bits(expit(x)))
+        _assert_expit_bits(y.values, x)
         np.testing.assert_array_equal(_bits(grad), _bits(expit(x) * (1.0 - expit(x))))
 
     def test_softplus_gradient(self):
@@ -618,13 +695,29 @@ class TestLogistic:
         tape = ad.Tape()
         p = ad.new_param(tape, x)
         grad = ad.backward(tape, ad.reduce_sum(ad.softplus(p))).wrt(p)
-        np.testing.assert_array_equal(_bits(grad), _bits(expit(x)))
+        _assert_expit_bits(grad, x)
 
     def test_nan_and_shapes(self):
         assert np.isnan(ad.sigmoid(np.array([np.nan, 1.0]))[0])
         assert float(ad.sigmoid(np.array(-709.5))) == expit(-709.5)
         strided = np.linspace(-720.0, 720.0, 3 * 41 * 41).reshape(3, 41, 41)[:, ::2, 1:]
-        np.testing.assert_array_equal(_bits(ad.sigmoid(strided)), _bits(expit(strided)))
+        _assert_expit_bits(ad.sigmoid(strided), strided)
+
+    # numpy picks its exp loop by the operand's layout; the input's layout must not matter
+    @pytest.mark.parametrize("layout", ["0-d", "F-ordered", "negative-stride"])
+    def test_input_layouts(self, layout):
+        x = _logistic_points()
+        if layout == "0-d":
+            points = x[::97]
+            got = np.array([ad.sigmoid(np.array(t)) for t in points])
+            assert all(ad.sigmoid(np.array(t)).shape == () for t in points[:3])
+            _assert_expit_bits(got, points)
+        elif layout == "F-ordered":
+            grid = np.asfortranarray(x[:1_800_000].reshape(1200, 1500))
+            _assert_expit_bits(ad.sigmoid(grid), grid)
+        else:
+            for view in (x[::-1], x[:1_800_000].reshape(1200, 1500)[::-1, ::-3]):
+                _assert_expit_bits(ad.sigmoid(view), view)
 
     # the guidance regime, and a sharp edge whose windows reach x ≈ -900
     @pytest.mark.parametrize("n, softness, radius", [(64, 0.35, [3.1, 5.6, 2.2]), (128, 0.02, [40.0, 9.5, 30.2])])
