@@ -44,7 +44,7 @@ print(f"cardinality map total = {card.total:.12f}  (error {abs(card.total - q):.
 # The density map needs point annotations and a bandwidth.
 sigma = default_sigma(masks)
 den = gaussian_density(sample.points.positive, sigma, scene.shape)
-print(f"density map total     = {den.total:.12f}  (error {abs(den.total - q):.2e})")
+print(f"density map total     = {den.sum():.12f}  (error {abs(den.sum() - q):.2e})")
 
 # The classification grid marks which cells contain any target pixels.
 cls = strong_class_grid(masks, scene.shape)

@@ -3,10 +3,10 @@
 Every differentiable operation ships with a hand-derived adjoint, and
 grad_check probes them numerically: perturb one input coordinate by
 plus/minus h, difference the outputs, compare with the tape's gradient.
-The checker also understands kinks. Operations like leaky_relu record
-which side of their kink each element evaluated on, and coordinates
-whose probe stencil straddles a kink are excluded rather than allowed
-to produce a false alarm.
+The checker also understands kinks. Operations like l1_diff, clamp and
+conv2d's rectifier record which side of their kink each element
+evaluated on, and coordinates whose probe stencil straddles a kink are
+excluded rather than allowed to produce a false alarm.
 """
 
 import numpy as np
@@ -45,7 +45,7 @@ w_composite = rng.normal(size=(4, 4, 1, 2))
 
 def composite(v):
     w = ad.new_param(v.tape, w_composite)
-    h = ad.leaky_relu(ad.conv2d(v, w, stride=2, padding=1))
+    h = ad.conv2d(v, w, stride=2, padding=1, slope=0.1)  # leaky ReLU applied in place
     return ad.reduce_sum(ad.mul(ad.sigmoid(h), h))
 
 
@@ -56,12 +56,13 @@ print(
     f"{len(res.kink_coords)} kink coordinates"
 )
 
-# Kink handling: evaluate leaky_relu exactly at zero and the result says so.
+# Kink handling: evaluate l1_diff (a sum of |v - target|) exactly at a zero
+# residual and the result says so.
 z = np.array([0.0, 1.0, -2.0])
-res = ad.grad_check(lambda v: ad.reduce_sum(ad.leaky_relu(v)), z)
-print(f"leaky_relu at a kink: at_kink={res.at_kink}, kink coords {res.kink_coords}")
+res = ad.grad_check(lambda v: ad.l1_diff(v, np.zeros(3)), z)
+print(f"l1_diff at a kink: at_kink={res.at_kink}, kink coords {res.kink_coords}")
 
 # Near-kink coordinates are excluded when the probe stencil would straddle.
 z2 = np.array([5e-6, 1.0, -2.0])
-res = ad.grad_check(lambda v: ad.reduce_sum(ad.leaky_relu(v)), z2, step=1e-5)
+res = ad.grad_check(lambda v: ad.l1_diff(v, np.zeros(3)), z2, step=1e-5)
 print(f"near-kink probe: excluded {res.kink_coords}, error elsewhere {res.max_rel_error:.2e}")

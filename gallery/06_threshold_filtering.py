@@ -1,11 +1,12 @@
 """Filtering the count with the classification threshold kappa.
 
-thresholded_count sums cardinality mass only over cells whose predicted
-class probability exceeds kappa. On a corpus where every visible object
-belongs to the target category, any filtering can only remove true mass,
-so kappa = 0 is optimal. On a corpus with distractor objects of another
-category, mid-range kappa suppresses mass the count head leaks onto
-distractor cells, and the best threshold moves off zero.
+At a threshold kappa, CountModel.counts sums cardinality mass only over
+cells whose predicted class probability exceeds kappa. On a corpus where
+every visible object belongs to the target category, any filtering can
+only remove true mass, so kappa = 0 is optimal. On a corpus with
+distractor objects of another category, mid-range kappa suppresses mass
+the count head leaks onto distractor cells, and the best threshold moves
+off zero.
 """
 
 from countgrad.datagen import SceneSpec, make_corpus

@@ -25,9 +25,9 @@ back to the kernel (``_pin_malloc_thresholds``).
 A convolution layer is one node: :func:`conv2d` can add a per-channel bias
 and apply the leaky ReLU in place on its GEMM output. For a one-channel
 input (the image) its im2col columns are one stack of the kernel's strided
-taps, used through its transpose. The rectifier, there and in
-:func:`leaky_relu`, is the branch-free ``max(x, slope * x)``, and its
-gradient scales by ``slope`` or 1 through the node's one bool mask.
+taps, used through its transpose. The rectifier is the branch-free
+``max(z, slope·z)``, and its gradient scales by ``slope`` or 1 through the
+node's one bool mask.
 
 The blob renderer's disks are one node too: :func:`soft_disks` sums S
 soft-edged disks, evaluating each only inside a window around its centre
@@ -63,8 +63,6 @@ __all__ = [
     "concat_channels",
     "sigmoid",
     "softplus",
-    "leaky_relu",
-    "sqrt",
     "clamp",
     "conv2d",
     "upsample_nearest",
@@ -334,41 +332,28 @@ def softplus(x: DiffArray) -> DiffArray:
     return _recorded(np.logaddexp(0.0, xv), (x, lambda g: g * _logistic(xv)))
 
 
-def _rectify(z: np.ndarray, slope: float, tape: Tape | None, out=None):
-    """Leaky ReLU ``max(z, slope * z)`` into ``out`` (``z`` itself rectifies in place).
+def _rectify(z: np.ndarray, slope: float, tape: Tape | None):
+    """Leaky ReLU ``max(z, slope·z)``, in place in ``z``.
 
-    For slope in [0, 1] and finite z this equals ``where(z > 0, z, slope *
-    z)`` bit for bit, without its data-dependent branch; other slopes are
-    rejected. Returns the result and, when the node is recorded on
-    ``tape``, the gradient scaling ``g -> g * [slope, 1][z > 0]``, whose
-    bool mask the kink signature shares; with no tape there is no mask and
-    the scaling is None.
+    For slope in [0, 1] and finite z this equals ``where(z > 0, z, slope·z)``
+    bit for bit, without its data-dependent branch; other slopes are
+    rejected. Returns, when the node is recorded on ``tape``, the gradient
+    scaling ``g -> g * [slope, 1][z > 0]``, whose bool mask the kink
+    signature shares; with no tape there is no mask and it returns None.
     """
     slope = float(slope)
     if not 0.0 <= slope <= 1.0:
         raise ValueError(
             f"leaky ReLU slope {slope!r} outside [0, 1], where max(x, slope * x) is not the rectifier"
         )
-    if tape is None:
-        return np.maximum(z, slope * z, out=out), None
-    positive = z > 0.0
-    _note_kink(tape, positive, lambda: np.any(z == 0.0))
-    factors = np.array([slope, 1.0])
-    return np.maximum(z, slope * z, out=out), lambda g: g * factors.take(positive)
-
-
-def leaky_relu(x: DiffArray, alpha: float = 0.1) -> DiffArray:
-    """``x`` where positive, ``alpha * x`` elsewhere; ``alpha`` must lie in [0, 1]."""
-    out, scale_grad = _rectify(_values(x), alpha, _tape_of(x))
-    return _recorded(out, (x, scale_grad))
-
-
-def sqrt(x: DiffArray) -> DiffArray:
-    xv = _values(x)
-    if np.any(xv < 0.0):
-        raise ValueError("sqrt requires non-negative inputs")
-    y = np.sqrt(xv)
-    return _recorded(y, (x, lambda g: g * 0.5 / y))
+    scale_grad = None
+    if tape is not None:
+        positive = z > 0.0
+        _note_kink(tape, positive, lambda: np.any(z == 0.0))
+        factors = np.array([slope, 1.0])
+        scale_grad = lambda g: g * factors.take(positive)
+    np.maximum(z, slope * z, out=z)
+    return scale_grad
 
 
 def clamp(x: DiffArray, lo: float, hi: float) -> DiffArray:
@@ -420,15 +405,15 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
     Output spatial extent is floor((H + 2*padding - kh) / stride) + 1 per
     axis. The whole batch runs as one im2col GEMM. A ``bias`` of shape
     (C',) is added in place to the GEMM output, and with ``slope`` (in
-    [0, 1]) the leaky ReLU rectifies it in place, so a whole
-    conv-bias-rectifier layer is one node; its values and gradients are
-    those of ``leaky_relu(add(conv2d(x, kernel), bias), slope)`` bit for
-    bit. Gradient rules are recorded for input, kernel and bias; the node
-    keeps the forward GEMM's im2col columns only when the kernel needs a
-    gradient (its gradient is one GEMM over them), and the rectifier's
-    bool mask. The input gradient needs only the kernel: a transposed
-    convolution at stride 1 and one GEMM per kernel tap otherwise (larger
-    strides, or padding so wide that some outputs see only zeros).
+    [0, 1]) the leaky ReLU ``max(z, slope·z)`` rectifies it in place, so a
+    whole conv-bias-rectifier layer is one node; that form equals
+    ``where(z > 0, z, slope·z)`` bit for bit. Gradient rules are recorded
+    for input, kernel and bias; the node keeps the forward GEMM's im2col
+    columns only when the kernel needs a gradient (its gradient is one GEMM
+    over them), and the rectifier's bool mask. The input gradient needs only
+    the kernel: a transposed convolution at stride 1 and one GEMM per kernel
+    tap otherwise (larger strides, or padding so wide that some outputs see
+    only zeros).
     """
     xv, kv = _values(x), _values(kernel)
     if xv.ndim not in (3, 4) or kv.ndim != 4:
@@ -460,9 +445,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
         out = out[0]
     if bv is not None:
         out += bv
-    scale_grad = None
-    if slope is not None:
-        out, scale_grad = _rectify(out, slope, tape, out=out)
+    scale_grad = None if slope is None else _rectify(out, slope, tape)
     if tape is None:
         return out
 

@@ -164,7 +164,7 @@ def _prepare_strong(corpus: Corpus, cfg: TrainConfig) -> list[_Example]:
             grid = grid_cardinality(pixel_cardinality(masks, shape)).grid
         else:
             sigma = cfg.sigma if cfg.sigma is not None else default_sigma(masks)
-            grid = gaussian_density(sample.points.positive, sigma, shape).grid
+            grid = gaussian_density(sample.points.positive, sigma, shape)
         cls = strong_class_grid(masks, shape)
         out.append(_Example(scene.image, sample.category_id, True, grid, cls))
     return out

@@ -21,7 +21,6 @@ from .raster import InstanceMask, PointAnnotations
 
 __all__ = [
     "CardinalityMap",
-    "DensityMap",
     "WeakGrids",
     "pixel_cardinality",
     "grid_cardinality",
@@ -41,19 +40,6 @@ class CardinalityMap:
     def __post_init__(self):
         if (self.grid < 0).any():
             raise ValueError("cardinality cells must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return float(self.grid.sum())
-
-
-@dataclass(frozen=True)
-class DensityMap:
-    grid: np.ndarray  # float64 (Hg, Wg)
-
-    def __post_init__(self):
-        if (self.grid < 0).any():
-            raise ValueError("density cells must be non-negative")
 
     @property
     def total(self) -> float:
@@ -109,8 +95,8 @@ def grid_cardinality(pixel_grid: np.ndarray) -> CardinalityMap:
     return CardinalityMap(pooled)
 
 
-def gaussian_density(points: np.ndarray, sigma: float, image_shape: tuple[int, int]) -> DensityMap:
-    """Classical density target: one unit-mass Gaussian per annotated point.
+def gaussian_density(points: np.ndarray, sigma: float, image_shape: tuple[int, int]) -> np.ndarray:
+    """Classical density target: float64 (Hg, Wg), one unit-mass Gaussian per annotated point.
 
     Kernels live at grid resolution, are truncated to a 3-sigma box clipped
     at the borders, and are renormalized per point so border objects do not
@@ -137,7 +123,7 @@ def gaussian_density(points: np.ndarray, sigma: float, image_shape: tuple[int, i
         dv = np.arange(v0, v1 + 1) - gc
         kernel = np.exp(-(du[:, None] ** 2 + dv[None, :] ** 2) / (2.0 * sg * sg))
         grid[u0 : u1 + 1, v0 : v1 + 1] += kernel / kernel.sum()
-    return DensityMap(grid)
+    return grid
 
 
 def strong_class_grid(masks: list[InstanceMask], image_shape: tuple[int, int]) -> np.ndarray:

@@ -50,12 +50,13 @@ DENSITY_TWIN_SIGMA = 4.0
 # most a fraction of one count parked well below visibility (peak <~
 # 0.35); 0.40 sits between those bands. The CLI's ORACLE_THRESHOLD is the same.
 ORACLE_THRESHOLD = 0.40
-# Slack for "non-increasing after smoothing". The guidance objective is
-# an absolute deviation, so near convergence a constant-step optimizer
-# hunts around the kink instead of stopping on it; the smoothed
-# trajectory wobbles by up to ~ STEP_SIZE / presence temperature of a
-# count. A tenth of one object bounds that wobble with margin while
-# still failing any trajectory that climbs meaningfully.
+# Slack for "non-increasing after smoothing". The rises it absorbs come
+# from Adam's momentum, not from noise at the kink of the absolute
+# deviation: when a slot's presence crosses the steep opacity band, the
+# count climbs past the request, the first moment carries it further,
+# and it swings back before settling (the worst run measured, q = 9,
+# went 7.8 -> 9.50 -> 8.80). A tenth of one object still fails any
+# trajectory that climbs meaningfully.
 SMOOTHED_RISE_TOL = 0.1
 # Tiling bound: a 2x2 composite's error is exactly the sum S of its four
 # scenes' errors, so with independent, unbiased errors it grows like
@@ -207,10 +208,11 @@ def _weighted_sum(expr: ad.DiffArray, weights: np.ndarray) -> ad.DiffArray:
 def _primitive_cases():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(3, 4))
-    a = np.where(np.abs(a) < 0.15, a + 0.3, a)  # keep clear of relu/abs kinks
+    # values near 0 move off it; no case kinks there, but dropping this
+    # would move the point of every case that uses a
+    a = np.where(np.abs(a) < 0.15, a + 0.3, a)
     b = a + np.where(rng.normal(size=(3, 4)) < 0, -0.7, 0.7)
     w = rng.normal(size=(3, 4))
-    pos = np.abs(a) + 0.5
     vec = rng.normal(size=(5,))
     mat = rng.normal(size=(4, 5))
     wvec = rng.normal(size=(4,))
@@ -245,10 +247,8 @@ def _primitive_cases():
         ("mul_lhs", a, lambda p: _weighted_sum(ad.mul(p, ad.new_param(p.tape, b)), w)),
         ("mul_rhs", b, lambda p: _weighted_sum(ad.mul(ad.new_param(p.tape, a), p), w)),
         ("scale", a, lambda p: _weighted_sum(ad.scale(p, 1.7), w)),
-        ("sqrt", pos, lambda p: _weighted_sum(ad.sqrt(p), w)),
         ("sigmoid", a, lambda p: _weighted_sum(ad.sigmoid(p), w)),
         ("softplus", a, lambda p: _weighted_sum(ad.softplus(p), w)),
-        ("leaky_relu", a, lambda p: _weighted_sum(ad.leaky_relu(p), w)),
         ("clamp", a, lambda p: _weighted_sum(ad.clamp(p, -0.5, 0.5), w)),
         ("l1_diff", a, lambda p: _weighted_sum(ad.l1_diff(p, b), w)),
         ("reduce_sum", a, lambda p: ad.reduce_sum(p)),

@@ -88,38 +88,6 @@ class TestElementwise:
         y = ad.softplus(x)
         assert y.values[0] >= 0.0 and np.isfinite(y.values[0])
 
-    def test_leaky_relu(self):
-        rng = np.random.default_rng(6)
-        pt = rng.normal(size=(8,))
-        pt[np.abs(pt) < 0.1] = 0.5  # keep the stencil off the origin
-        check(lambda x: ad.reduce_sum(ad.leaky_relu(x)), pt)
-
-    def test_leaky_relu_negative_slope(self):
-        tape = ad.Tape()
-        x = ad.new_param(tape, np.array([-2.0, 3.0]))
-        y = ad.leaky_relu(x, alpha=0.1)
-        np.testing.assert_allclose(y.values, [-0.2, 3.0])
-        grads = ad.backward(tape, ad.reduce_sum(y))
-        np.testing.assert_allclose(grads.wrt(x), [0.1, 1.0])
-
-    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
-    def test_leaky_relu_equals_the_two_branch_form_bit_for_bit(self, slope):
-        # max(x, slope * x) stands in for where(x > 0, x, slope * x) for slopes in [0, 1]
-        rng = np.random.default_rng(7)
-        z, w = rng.normal(size=(2, 40))
-        z[:2] = 0.0, -0.0
-        tape = ad.Tape()
-        x = ad.new_param(tape, z)
-        y = ad.leaky_relu(x, slope)
-        grad = ad.backward(tape, ad.reduce_sum(ad.mul(y, w))).wrt(x)
-        assert y.values.tobytes() == np.where(z > 0, z, slope * z).tobytes()
-        assert grad.tobytes() == np.where(z > 0, w, slope * w).tobytes()
-
-    def test_sqrt(self):
-        rng = np.random.default_rng(7)
-        pt = rng.uniform(0.5, 3.0, size=(6,))
-        check(lambda x: ad.reduce_sum(ad.sqrt(x)), pt)
-
     def test_clamp_interior_gradient(self):
         rng = np.random.default_rng(8)
         pt = rng.uniform(-0.8, 0.8, size=(6,))
@@ -373,36 +341,36 @@ class TestBatched:
 
 
 class TestFusedConvLayer:
-    """conv2d with bias and slope: one node, bit-identical to conv, add, leaky_relu."""
+    """conv2d with bias and slope: a whole layer in one node.
+
+    Its values and gradients are checked bit for bit against a numpy
+    reference in TestConvKeptColumns.
+    """
 
     @pytest.mark.parametrize("slope", [0.1, None], ids=["slope", "bias-only"])
-    @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
-    def test_matches_the_three_node_chain_bit_for_bit(self, lead, stride, slope):
-        rng = np.random.default_rng(70 + stride)
-        xv = rng.normal(size=(*lead, 6, 6, 2))
-        kv = rng.normal(size=(3, 3, 2, 4))
-        bv = rng.normal(size=(4,))
-        w = rng.normal(size=(*lead, 6 // stride, 6 // stride, 4))
+    def test_a_layer_is_one_node(self, lead, slope):
+        tape = ad.Tape()
+        x, k, b = (ad.new_param(tape, np.ones(s)) for s in ((*lead, 6, 6, 2), (3, 3, 2, 4), (4,)))
+        ad.conv2d(x, k, stride=2, padding=1, bias=b, slope=slope)
+        assert len(tape) == 3 + 1  # the three leaves and the layer
 
-        def run(fused):
-            tape = ad.Tape()
-            x, k, b = (ad.new_param(tape, v) for v in (xv, kv, bv))
-            if fused:
-                y = ad.conv2d(x, k, stride=stride, padding=1, bias=b, slope=slope)
-            else:
-                y = ad.add(ad.conv2d(x, k, stride=stride, padding=1), b)
-                if slope is not None:
-                    y = ad.leaky_relu(y, slope)
-            grads = ad.backward(tape, ad.reduce_sum(ad.mul(y, w)))
-            return len(tape), y.values, [grads.wrt(p) for p in (x, k, b)]
-
-        n_fused, y_fused, g_fused = run(True)
-        n_chain, y_chain, g_chain = run(False)
-        assert n_chain - n_fused == (2 if slope is not None else 1)
-        assert y_fused.tobytes() == y_chain.tobytes()
-        for a, b in zip(g_fused, g_chain):
-            assert a.tobytes() == b.tobytes()
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+    def test_rectifier_equals_the_two_branch_form_bit_for_bit(self, slope):
+        # max(z, slope·z) stands in for where(z > 0, z, slope·z) for slopes in [0, 1].
+        # A 1x1 unit kernel passes the input through its GEMMs, whose sums
+        # start at +0, so the input's -0 reaches the rectifier as +0.
+        rng = np.random.default_rng(7)
+        v, w = rng.normal(size=(2, 40))
+        v[:2] = 0.0, -0.0
+        unit = np.ones((1, 1, 1, 1))
+        z = ad.conv2d(v.reshape(1, 40, 1), unit).ravel()
+        tape = ad.Tape()
+        x = ad.new_param(tape, v.reshape(1, 40, 1))
+        y = ad.conv2d(x, unit, slope=slope)
+        grad = ad.backward(tape, ad.reduce_sum(ad.mul(y, w.reshape(1, 40, 1)))).wrt(x)
+        assert y.values.tobytes() == np.where(z > 0, z, slope * z).tobytes()
+        assert grad.tobytes() == (np.where(z > 0, w, slope * w) + 0.0).tobytes()
 
     @pytest.mark.parametrize("wrt", ["input", "kernel", "bias"])
     def test_gradients(self, wrt):
@@ -440,8 +408,6 @@ class TestFusedConvLayer:
         x, k = np.zeros((4, 4, 1)), np.zeros((3, 3, 1, 2))
         with pytest.raises(ValueError, match=f"slope {slope!r}"):
             ad.conv2d(x, k, bias=np.zeros(2), slope=slope)
-        with pytest.raises(ValueError, match=f"slope {slope!r}"):
-            ad.leaky_relu(ad.new_param(ad.Tape(), np.ones(2)), alpha=slope)
 
     @pytest.mark.parametrize("shape", [(3,), (1, 2), ()])
     def test_bias_shape_must_be_output_channels(self, shape):
@@ -787,8 +753,6 @@ FOLD_CASES = [
     ("concat_channels", ad.concat_channels, (_POS, _ANY)),
     ("sigmoid", ad.sigmoid, (_ANY,)),
     ("softplus", ad.softplus, (_ANY,)),
-    ("leaky_relu", ad.leaky_relu, (_ANY,)),
-    ("sqrt", ad.sqrt, (_POS,)),
     ("clamp", lambda x: ad.clamp(x, -0.5, 0.5), (_ANY,)),
     ("conv2d", lambda x, k: ad.conv2d(x, k, stride=2, padding=1), (_IMGS, _KER)),
     (
@@ -803,16 +767,24 @@ FOLD_CASES = [
 ]
 
 
+# the names of ad.__all__ that are the tape's API, not array primitives
+TAPE_API = {"Tape", "DiffArray", "Gradients", "GradCheckResult", "new_param", "backward", "grad_check"}
+
+
 class TestConstantFolding:
     """A primitive whose operands are all constants returns a plain array, unrecorded."""
 
     def test_cases_cover_every_primitive(self):
-        not_primitives = {
-            "Tape", "DiffArray", "Gradients", "GradCheckResult", "new_param", "backward", "grad_check"
-        }
         # a whole conv layer (bias and rectifier) is a second conv2d case
         names = {name.removesuffix("_block") for name, _, _ in FOLD_CASES}
-        assert names == set(ad.__all__) - not_primitives
+        assert names == set(ad.__all__) - TAPE_API
+
+    def test_every_primitive_is_called_by_the_package(self):
+        # a primitive that only tests call is dead code: it goes, with its tests
+        module = Path(ad.__file__)
+        source = "\n".join(p.read_text() for p in module.parent.rglob("*.py") if p != module)
+        called = set(re.findall(r"\bad\.(\w+)", source))
+        assert set(ad.__all__) - TAPE_API - called == set()
 
     @pytest.mark.parametrize("name,call,operands", FOLD_CASES, ids=[c[0] for c in FOLD_CASES])
     def test_constants_fold_to_the_recorded_values(self, name, call, operands):
@@ -832,7 +804,8 @@ class TestConstantFolding:
         # only grad_check's tapes track kinks, though every op below is evaluated at one
         tape = ad.Tape()
         x = ad.new_param(tape, np.array([0.0, 1.0, -2.0]))
-        ad.l1_diff(ad.clamp(ad.leaky_relu(x), 0.0, 1.0), np.zeros(3))
+        y = ad.conv2d(ad.reshape(x, (1, 3, 1)), np.ones((1, 1, 1, 1)), slope=0.1)
+        ad.l1_diff(ad.clamp(ad.reshape(y, (3,)), 0.0, 1.0), np.zeros(3))
         assert not hasattr(tape, "at_kink") and not hasattr(tape, "kink_signature")
 
 
@@ -921,10 +894,10 @@ class TestGradCheckHarness:
         assert res.at_kink
 
     def test_excludes_stencil_kinks(self):
-        # perturbing coordinate 0 by +step crosses the relu origin exactly
+        # perturbing coordinate 0 by +step lands exactly on |x|'s kink at 0
         step = 1e-5
         res = ad.grad_check(
-            lambda x: ad.reduce_sum(ad.leaky_relu(x)),
+            lambda x: ad.l1_diff(x, np.zeros(2)),
             np.array([-step, 1.0]),
             step=step,
         )

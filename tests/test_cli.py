@@ -393,14 +393,12 @@ class TestEval:
         assert len(rows) == 5  # header + 4 val images
         assert "MAE" in (out / "summary.txt").read_text()
 
-    @pytest.mark.parametrize("image_size, expected_tile", [(16, None), (32, 16)])
-    def test_outputs_match_per_image_counts_byte_for_byte(
-        self, trained, tmp_path, image_size, expected_tile
-    ):
+    @pytest.mark.parametrize("image_size", [16, 32])
+    def test_outputs_match_per_image_counts_byte_for_byte(self, trained, tmp_path, image_size):
         # 6 scenes leave a partial last chunk of batched forwards; the files
-        # must be exactly what one thresholded_count/tiled_count call per
-        # image gives, in the established CSV and summary format. Images
-        # larger than the model input are tiled at its size, unasked.
+        # must be exactly what one model.counts call per image gives, in the
+        # established CSV and summary format. Images larger than the model
+        # input (32 px against 16) are tiled at its size, unasked.
         _, ckpt, _, _ = trained
         gen = write_config(
             tmp_path,
@@ -425,10 +423,7 @@ class TestEval:
         for item in corpus.items:
             s = item.sample
             truth = s.scene.count(s.category_id)
-            if expected_tile:
-                pred = model.tiled_count(s.scene.image, s.category_id, expected_tile, kappa=0.2)
-            else:
-                pred = model.thresholded_count(s.scene.image, s.category_id, 0.2)
+            pred = model.counts([s.scene.image], s.category_id, (0.2,))[0][0]
             lines.append(f"{item.scene_id},{truth},{pred!r},{pred - truth!r}")
             errs.append(pred - truth)
         err = np.array(errs)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from countgrad.datagen import (
     sample_scene,
     write_corpus,
 )
-from countgrad.raster import oracle_count_components
+from countgrad.raster import SceneInstance, oracle_count_components
 
 
 def small_spec(**kw):
@@ -212,16 +213,17 @@ class TestCorpusIO:
         assert len(loaded) == 0 and loaded.split == "test"
 
     def test_round_trip_with_subpixel_instances(self, tmp_path):
-        from countgrad.raster import downscale_and_pad
-
         corpus = make_corpus(small_spec(count_range=(2, 4)), 3)
         shrunk_items = []
         for item in corpus.items:
-            scene = downscale_and_pad(item.sample.scene, 8.0)
-            shrunk_items.append(
-                type(item)(item.scene_id, type(item.sample)(scene, item.sample.points, item.sample.category_id))
+            # every other instance fell below one pixel: no mask, but still counted
+            instances = tuple(
+                SceneInstance(inst.category_id, None) if k % 2 else inst
+                for k, inst in enumerate(item.sample.scene.instances)
             )
-        # downscaled masks may vanish; the container must preserve the flags
+            sample = replace(item.sample, scene=replace(item.sample.scene, instances=instances))
+            shrunk_items.append(replace(item, sample=sample))
+        # the container must preserve the subpixel flags
         shrunk = Corpus(corpus.spec, "train", tuple(shrunk_items))
         path = tmp_path / "s.corpus"
         write_corpus(shrunk, path)

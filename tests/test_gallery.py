@@ -1,8 +1,9 @@
 """The gallery's quick examples run to completion against the package under test,
-and every name the other examples import from countgrad exists."""
+and every name the other examples take from countgrad exists."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ PACKAGE_ROOT = Path(countgrad.__file__).resolve().parents[1]
 # The scripts that finish in about a second; the rest train a counter first.
 QUICK = {
     "01_cardinality_maps.py": "cardinality map total",
-    "02_gradient_checking.py": "leaky_relu at a kink: at_kink=True",
+    "02_gradient_checking.py": "l1_diff at a kink: at_kink=True",
 }
 
 
@@ -37,17 +38,31 @@ def test_quick_example_runs(script, tmp_path):
     assert QUICK[script] in proc.stdout
 
 
-def countgrad_imports(path):
-    """(module, name) for each ``from countgrad... import name`` in a script."""
-    for node in ast.walk(ast.parse(path.read_text())):
+def countgrad_names(path):
+    """(module, name) for each name a script takes from countgrad.
+
+    That is each ``from countgrad... import name``, and each attribute it
+    reads off a countgrad module imported that way (``ad.Tape`` after
+    ``from countgrad import autodiff as ad``).
+    """
+    tree = ast.parse(path.read_text())
+    modules = {}  # local name -> countgrad module
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "countgrad":
-            yield from ((node.module, alias.name) for alias in node.names)
+            package = hasattr(importlib.import_module(node.module), "__path__")
+            for alias in node.names:
+                yield node.module, alias.name
+                if package and importlib.util.find_spec(f"{node.module}.{alias.name}"):
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            yield modules[node.value.id], node.attr
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in GALLERY.glob("*.py") if p.name not in QUICK))
 def test_imported_names_exist(script):
-    # these examples train a counter first, so only their imports are checked
-    names = list(countgrad_imports(GALLERY / script))
+    # these examples train a counter first, so only the names they use are checked
+    names = list(countgrad_names(GALLERY / script))
     assert names
     for module, name in names:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

@@ -32,7 +32,7 @@ from countgrad.harness import (
 )
 from countgrad.losses import LossWeights, guidance_loss
 from countgrad.model import CountModel, ModelConfig, count_above
-from countgrad.raster import downscale_and_pad, oracle_count_components
+from countgrad.raster import SceneInstance, downscale_image, oracle_count_components
 from countgrad.targets import WeakGrids
 
 TINY_MODEL = ModelConfig(input_size=16, channels=(2, 3, 4), fused_channels=4, embed_dim=3, seed=2)
@@ -130,8 +130,13 @@ def mixed_corpus(n):
     return corpus
 
 
-def looped_counts(model, corpus, kappa=0.0):
-    return [model.thresholded_count(s.scene.image, s.category_id, kappa) for s in corpus.samples()]
+def looped_counts(model, corpus, kappa=0.0, ratio=1.0):
+    """Per-image counts, one ``counts`` call each, of the scenes shrunk by ``ratio``."""
+    out = []
+    for s in corpus.samples():
+        image = s.scene.image if ratio == 1.0 else downscale_image(s.scene.image, ratio, s.scene.background)
+        out.append(model.counts([image], s.category_id, (kappa,))[0][0])
+    return out
 
 
 def truths_of(corpus):
@@ -162,7 +167,7 @@ class TestBatchedInference:
         corpus = Corpus(small.spec, "test", small.items[:2] + big.items + small.items[2:])
         model = CountModel.create()
         for kappa in (0.0, 0.5):
-            preds = [model.tiled_count(s.scene.image, s.category_id, kappa=kappa) for s in corpus.samples()]
+            preds = looped_counts(model, corpus, kappa)
             assert predict_counts(model, corpus, kappa) == preds
             assert evaluate(model, corpus, kappa) == compute_metrics(preds, truths_of(corpus))
 
@@ -200,10 +205,7 @@ class TestBatchedInference:
         base = looped_counts(model, corpus)
         expect = []
         for ratio in ratios:
-            preds = [
-                model.thresholded_count(downscale_and_pad(s.scene, ratio).image, s.category_id, 0.0)
-                for s in corpus.samples()
-            ]
+            preds = looped_counts(model, corpus, ratio=ratio)
             drifts = np.asarray([p - b for p, b in zip(preds, base)])
             mae = compute_metrics(preds, truths_of(corpus)).mae
             expect.append(
@@ -222,7 +224,7 @@ class TestBatchedInference:
         monkeypatch.setattr(CountModel, "_class_grid", no_class_head)
         assert evaluate(model, corpus).n == 5
         assert model.predict_count(image, 0) >= 0.0
-        assert len(size_bias_sweep({"m": model}, corpus, (1.0, 2.0))) == 2
+        assert len(size_bias_tables({"m": model}, corpus, (1.0, 2.0), by_size_class=False)[0]) == 2
         with pytest.raises(AssertionError, match="class head ran"):
             threshold_sweep(model, corpus, (0.0, 0.3))
 
@@ -319,11 +321,11 @@ class TestTrainStage:
         data = tiny_data()
         shrunk_items = []
         for item in data.train.items:
-            scene = downscale_and_pad(item.sample.scene, 8.0)
-            if any(i.subpixel for i in scene.instances):
-                sample = type(item.sample)(scene, item.sample.points, item.sample.category_id)
-                shrunk_items.append(type(item)(item.scene_id, sample))
-        assert shrunk_items, "expected some masks to vanish at ratio 8"
+            # every instance fell below one pixel: no mask, but still counted
+            scene = item.sample.scene
+            instances = tuple(SceneInstance(i.category_id, None) for i in scene.instances)
+            sample = replace(item.sample, scene=replace(scene, instances=instances))
+            shrunk_items.append(replace(item, sample=sample))
         bad = Corpus(data.train.spec, "train", tuple(shrunk_items))
         cfg = TrainConfig(stage="strong", epochs=1)
         with pytest.raises(ValueError, match="subpixel"):
@@ -479,6 +481,12 @@ class TestBlobScene:
 BLOB_KEYS = ("presence", "center_row", "center_col", "radius_raw", "intensity_raw")
 
 
+def _sqrt(x):
+    """Square-root node, for the reference renderer's distances."""
+    y = np.sqrt(x.values)
+    return ad._recorded(y, (x, lambda g: g * 0.5 / y))
+
+
 def loop_render(tape, params, nodes):
     """Reference renderer: one slot at a time, as the renderer was first written."""
     n = params.canvas
@@ -496,7 +504,7 @@ def loop_render(tape, params, nodes):
     for s in range(params.n_slots):
         dr = ad.add(ad.scale(ad.take_index(rows_c, s), -1.0), rr)
         dc = ad.add(ad.scale(ad.take_index(cols_c, s), -1.0), cc)
-        dist = ad.sqrt(ad.add(ad.add(ad.mul(dr, dr), ad.mul(dc, dc)), 1e-9))
+        dist = _sqrt(ad.add(ad.add(ad.mul(dr, dr), ad.mul(dc, dc)), 1e-9))
         edge = ad.scale(ad.add(ad.scale(dist, -1.0), ad.take_index(radius, s)), 1.0 / blob.EDGE_SOFTNESS)
         height = ad.mul(ad.take_index(opacity, s), ad.take_index(intensity, s))
         contrib = ad.mul(ad.sigmoid(edge), height)
@@ -673,7 +681,7 @@ class TestExperiments:
     def test_size_bias_rows(self):
         corpus = self.make_eval_corpus()
         models = {"a": CountModel.create(TINY_MODEL), "b": CountModel.create(TINY_MODEL)}
-        rows = size_bias_sweep(models, corpus, ratios=(1.0, 2.0, 3.0))
+        rows, _ = size_bias_tables(models, corpus, (1.0, 2.0, 3.0), by_size_class=False)
         assert len(rows) == 6
         for row in rows:
             if row.ratio == 1.0:

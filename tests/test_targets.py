@@ -104,17 +104,17 @@ class TestGridCardinality:
 class TestGaussianDensity:
     def test_single_point_unit_mass(self):
         d = gaussian_density(np.array([[32, 32]]), 4.0, (64, 64))
-        assert d.total == pytest.approx(1.0, abs=1e-6)
+        assert d.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_k_points_total(self):
         rng = np.random.default_rng(13)
         pts = rng.integers(0, 64, size=(9, 2))
         d = gaussian_density(pts, 3.0, (64, 64))
-        assert d.total == pytest.approx(9.0, abs=9e-6)
+        assert d.sum() == pytest.approx(9.0, abs=9e-6)
 
     def test_corner_point_renormalized(self):
         d = gaussian_density(np.array([[0, 0]]), 6.0, (64, 64))
-        assert d.total == pytest.approx(1.0, abs=1e-6)
+        assert d.sum() == pytest.approx(1.0, abs=1e-6)
 
     def test_totals_match_cardinality_within_one_percent(self):
         rng = np.random.default_rng(14)
@@ -122,7 +122,7 @@ class TestGaussianDensity:
         cmap = grid_cardinality(pixel_cardinality(masks, (64, 64)))
         pts = np.array([[int(np.mean(np.nonzero(m.pixels)[0])), int(np.mean(np.nonzero(m.pixels)[1]))] for m in masks])
         d = gaussian_density(pts, default_sigma(masks), (64, 64))
-        assert abs(d.total - cmap.total) <= 0.01 * cmap.total
+        assert abs(d.sum() - cmap.total) <= 0.01 * cmap.total
 
     def test_out_of_bounds_point(self):
         with pytest.raises(ValueError):
