@@ -340,12 +340,49 @@ class TestBatched:
         check(fn, rng.normal(size=(2, 3, 3, 2)))
 
 
+def _leaky_relu(x, slope):
+    """Rectifier node ``max(x, slope * x)``, for the unfused reference chain."""
+    xv = x.values
+    factors = np.array([slope, 1.0])
+    return ad._recorded(np.maximum(xv, slope * xv), (x, lambda g: g * factors.take(xv > 0.0)))
+
+
 class TestFusedConvLayer:
     """conv2d with bias and slope: a whole layer in one node.
 
     Its values and gradients are checked bit for bit against a numpy
-    reference in TestConvKeptColumns.
+    reference in TestConvKeptColumns, and against the unfused chain of conv,
+    add and a test-local rectifier node here.
     """
+
+    @pytest.mark.parametrize("slope", [0.1, None], ids=["slope", "bias-only"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
+    def test_matches_the_three_node_chain_bit_for_bit(self, lead, stride, slope):
+        rng = np.random.default_rng(70 + stride)
+        xv = rng.normal(size=(*lead, 6, 6, 2))
+        kv = rng.normal(size=(3, 3, 2, 4))
+        bv = rng.normal(size=(4,))
+        w = rng.normal(size=(*lead, 6 // stride, 6 // stride, 4))
+
+        def run(fused):
+            tape = ad.Tape()
+            x, k, b = (ad.new_param(tape, v) for v in (xv, kv, bv))
+            if fused:
+                y = ad.conv2d(x, k, stride=stride, padding=1, bias=b, slope=slope)
+            else:
+                y = ad.add(ad.conv2d(x, k, stride=stride, padding=1), b)
+                if slope is not None:
+                    y = _leaky_relu(y, slope)
+            grads = ad.backward(tape, ad.reduce_sum(ad.mul(y, w)))
+            return len(tape), y.values, [grads.wrt(p) for p in (x, k, b)]
+
+        n_fused, y_fused, g_fused = run(True)
+        n_chain, y_chain, g_chain = run(False)
+        assert n_chain - n_fused == (2 if slope is not None else 1)
+        assert y_fused.tobytes() == y_chain.tobytes()
+        for a, b in zip(g_fused, g_chain):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("slope", [0.1, None], ids=["slope", "bias-only"])
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batched"])
