@@ -27,7 +27,7 @@ from countgrad.harness import (
     train_stage,
 )
 from countgrad.model import CountModel, ModelConfig
-from countgrad.raster import oracle_count_components
+from countgrad.raster import ORACLE_THRESHOLD, oracle_count_components
 
 # A quickly trained counter is enough to demonstrate control.
 spec = SceneSpec(count_range=(1, 10), seed=5)
@@ -44,7 +44,7 @@ params = init_blob_params(rng, n_slots=12, n_on=6)
 
 start_img = render_blob_scene(ad.Tape(), params, params.as_dict())
 print(f"start: model sees {model.predict_count(start_img, 0):.2f} blobs, "
-      f"oracle sees {oracle_count_components(start_img, 0.40)}")
+      f"oracle sees {oracle_count_components(start_img, ORACLE_THRESHOLD)}")
 
 best, trajectory = guide_optimize(model, params, GuidanceConfig(q_req=q_req), category_id=0)
 
@@ -54,7 +54,7 @@ for rec in trajectory[:: max(1, len(trajectory) // 10)]:
 
 final_img = render_blob_scene(ad.Tape(), best, best.as_dict())
 pred = model.predict_count(final_img, 0)
-comps = oracle_count_components(final_img, 0.40)
+comps = oracle_count_components(final_img, ORACLE_THRESHOLD)
 print(f"\nfinal: {len(trajectory)} steps, predicted {pred:.2f}, "
       f"connected components {comps} (requested {q_req:.0f})")
 

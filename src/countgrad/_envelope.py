@@ -12,6 +12,7 @@ it was found.
 from __future__ import annotations
 
 import zlib
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -87,14 +88,23 @@ class Reader:
         """The next ``count`` items of ``dtype`` as a read-only array."""
         return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype)
 
+    @contextmanager
+    def invariants(self, what: str, start: int):
+        """Re-raise a plain ValueError from the block as the format's error, naming
+        ``what`` at byte ``start``; the format's own errors pass through unchanged."""
+        try:
+            yield
+        except self.error:
+            raise
+        except ValueError as exc:
+            raise self.error(f"{what} at byte {start}: {exc}") from exc
+
     def echo(self, parse, what: str):
         """``parse`` applied to the next u32-length JSON echo; its ValueError becomes the format's."""
         start = self.pos
         text = self.take(self.u(4))
-        try:
+        with self.invariants(f"{what} echo", start):  # includes malformed JSON and undecodable bytes
             return parse(text.decode())
-        except ValueError as exc:  # includes malformed JSON and undecodable bytes
-            raise self.error(f"{what} echo at byte {start}: {exc}") from exc
 
     def finish(self, what: str) -> None:
         """Reject bytes left between the last record and the checksum."""

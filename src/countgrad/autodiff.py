@@ -56,7 +56,6 @@ __all__ = [
     "new_param",
     "add",
     "mul",
-    "scale",
     "matvec",
     "take_index",
     "reshape",
@@ -238,11 +237,6 @@ def mul(a, b) -> DiffArray:
     return _recorded(
         av * bv, (a, lambda g: _unbroadcast(g * bv, sa)), (b, lambda g: _unbroadcast(g * av, sb))
     )
-
-
-def scale(x: DiffArray, c: float) -> DiffArray:
-    c = float(c)
-    return _recorded(c * _values(x), (x, lambda g: c * g))
 
 
 def matvec(w, v) -> DiffArray:

@@ -38,12 +38,7 @@ from .harness import (
 )
 from .losses import LossWeights
 from .model import CountModel, ModelConfig, load_checkpoint, save_checkpoint
-from .raster import oracle_count_components
-
-
-# Brightness cutoff of guide's component count: between fully-on blobs
-# (peaks ~0.55-0.8) and the fraction of a count guidance parks below ~0.35.
-ORACLE_THRESHOLD = 0.40
+from .raster import ORACLE_THRESHOLD, oracle_count_components
 
 
 class ConfigError(ValueError):

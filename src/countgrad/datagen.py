@@ -310,30 +310,33 @@ def read_corpus(path) -> Corpus:
     spec = r.echo(SceneSpec.from_json, "spec")
     split = r.text("split")
     items = []
+    records_at = r.pos
     for _ in range(r.u(4)):
-        scene_id = r.u(4)
-        category_id = r.u(2)
-        h, w = r.u(2), r.u(2)
-        image = r.array("<f8", h * w).reshape(h, w).astype(np.float64)
-        background = float(r.array("<f8", 1)[0])
-        instances = []
-        for _ in range(r.u(2)):
-            cat = r.u(2)
-            flag = r.u(1)
-            if flag > 1:
-                raise CorpusError(f"subpixel flag {flag} at byte {r.pos - 1}: expected 0 or 1")
-            if flag:
-                instances.append(SceneInstance(cat, None))
-            else:
-                pixels = rle_decode(r.array("<u4", r.u(4)), h * w).reshape(h, w)
-                instances.append(SceneInstance(cat, InstanceMask(pixels)))
-        scene = Scene(image, tuple(instances), background)
-        positive = r.array("<u2", 2 * r.u(2)).reshape(-1, 2).astype(np.int64)
-        negative = r.array("<u2", 2 * r.u(2)).reshape(-1, 2).astype(np.int64)
-        points = PointAnnotations(positive, negative)
-        items.append(CorpusItem(scene_id, SceneSample(scene, points, category_id)))
+        with r.invariants("record", r.pos):  # a mask, image or point list the types reject
+            scene_id = r.u(4)
+            category_id = r.u(2)
+            h, w = r.u(2), r.u(2)
+            image = r.array("<f8", h * w).reshape(h, w).astype(np.float64)
+            background = float(r.array("<f8", 1)[0])
+            instances = []
+            for _ in range(r.u(2)):
+                cat = r.u(2)
+                flag = r.u(1)
+                if flag > 1:
+                    raise CorpusError(f"subpixel flag {flag} at byte {r.pos - 1}: expected 0 or 1")
+                if flag:
+                    instances.append(SceneInstance(cat, None))
+                else:
+                    pixels = rle_decode(r.array("<u4", r.u(4)), h * w).reshape(h, w)
+                    instances.append(SceneInstance(cat, InstanceMask(pixels)))
+            scene = Scene(image, tuple(instances), background)
+            positive = r.array("<u2", 2 * r.u(2)).reshape(-1, 2).astype(np.int64)
+            negative = r.array("<u2", 2 * r.u(2)).reshape(-1, 2).astype(np.int64)
+            points = PointAnnotations(positive, negative)
+            items.append(CorpusItem(scene_id, SceneSample(scene, points, category_id)))
     r.finish("records")
-    return Corpus(spec, split, tuple(items))
+    with r.invariants("records", records_at):  # scene ids unique across records
+        return Corpus(spec, split, tuple(items))
 
 
 def corpora_equal(a: Corpus, b: Corpus) -> bool:

@@ -203,9 +203,9 @@ def render_blob_scene(
     if param_nodes is None:
         param_nodes = {k: ad.new_param(tape, v) for k, v in params.as_dict().items()}
     lim = float(n - 1)
-    opacity = ad.sigmoid(ad.scale(param_nodes["presence"], 1.0 / PRESENCE_TEMP))
+    opacity = ad.sigmoid(ad.mul(param_nodes["presence"], 1.0 / PRESENCE_TEMP))
     intensity = ad.add(
-        ad.scale(ad.sigmoid(param_nodes["intensity_raw"]), _INTENSITY_SPAN), _INTENSITY_LO
+        ad.mul(ad.sigmoid(param_nodes["intensity_raw"]), _INTENSITY_SPAN), _INTENSITY_LO
     )
     disks = ad.soft_disks(
         ad.clamp(param_nodes["center_row"], 0.0, lim),

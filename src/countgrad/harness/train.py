@@ -220,7 +220,7 @@ def _accumulate(model, group, w: LossWeights, grad_sums, where):
 
     total = None
     for weight, node in cnt_terms + cls_terms:
-        weighted = ad.scale(node, weight)
+        weighted = ad.mul(node, weight)
         total = weighted if total is None else ad.add(total, weighted)
     if not math.isfinite(float(total.values)):
         raise TrainingDivergence(f"non-finite loss at {where}")
@@ -244,6 +244,8 @@ def train_stage(model: CountModel, data: StageData, config: TrainConfig):
         raise ValueError("weak stage with gamma > 0 needs a non-empty strong_mix corpus")
     if len(data.train) == 0:
         raise ValueError("empty training corpus")
+    if len(data.val) == 0:
+        raise ValueError("empty validation corpus")
 
     rng = np.random.default_rng(config.seed)
     w = config.weights

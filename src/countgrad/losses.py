@@ -74,7 +74,7 @@ def strong_cls_loss(logits: ad.DiffArray, labels: np.ndarray) -> ad.DiffArray:
     if logits.shape != labels.shape:
         raise ValueError(f"shape mismatch: {logits.shape} vs {labels.shape}")
     terms = _bce_terms(logits, labels)
-    return ad.scale(ad.reduce_sum(terms), 1.0 / math.prod(labels.shape[-2:]))
+    return ad.mul(ad.reduce_sum(terms), 1.0 / math.prod(labels.shape[-2:]))
 
 
 def weak_cls_loss(logits: ad.DiffArray, weak: Sequence[WeakGrids]) -> ad.DiffArray:

@@ -491,9 +491,11 @@ def load_checkpoint(path) -> CountModel:
     r = _envelope.open_body(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError)
     cfg = r.echo(ModelConfig.from_json, "config")
     weights: dict[str, np.ndarray] = {}
+    weights_at = r.pos
     for _ in range(r.u(2)):
         name = r.text("weight name")
         shape = tuple(r.array("<u4", r.u(1)).tolist())
         weights[name] = r.array("<f8", math.prod(shape)).reshape(shape).astype(np.float64)
     r.finish("weights")
-    return CountModel(cfg, weights)
+    with r.invariants("weights", weights_at):  # names, shapes and finiteness against the config
+        return CountModel(cfg, weights)

@@ -22,6 +22,7 @@ __all__ = [
     "render_scene",
     "downscale_image",
     "downscale_and_pad",
+    "ORACLE_THRESHOLD",
     "oracle_count_components",
 ]
 
@@ -303,13 +304,19 @@ def downscale_and_pad(scene: Scene, ratio: float) -> Scene:
     return Scene(image, tuple(instances), scene.background)
 
 
+# Brightness cutoff of guide's component count: between fully-on blobs
+# (peaks ~0.55-0.8) and the fraction of a count guidance parks below ~0.35.
+ORACLE_THRESHOLD = 0.40
+
+
 def oracle_count_components(image: np.ndarray, threshold: float) -> int:
     """Count 4-connected components of pixels strictly above ``threshold``.
 
     Independent of the model and the mask bookkeeping; used as ground truth
     when judging generated images. ``image`` is one 2-d image with finite
-    pixels. Foreground pixels are grouped into horizontal runs, and two runs
-    in adjacent rows are joined where they share a column.
+    pixels. Foreground pixels are grouped into horizontal runs, two runs in
+    adjacent rows are joined by one edge where they share a column, and a
+    union-find over the runs counts the components.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
@@ -322,38 +329,21 @@ def oracle_count_components(image: np.ndarray, threshold: float) -> int:
     start = fg.copy()
     start[:, 1:] &= ~fg[:, :-1]
     run = np.cumsum(start).reshape(fg.shape) - 1  # run id of each foreground pixel, row-major
-    shared = fg[:-1] & fg[1:]  # one edge per shared column
-    return _count_graph_components(int(start.sum()), run[:-1][shared], run[1:][shared])
+    shared = fg[:-1] & fg[1:]
+    shared[:, 1:] &= ~shared[:, :-1]  # one edge per overlap of two runs: its first shared column
+    parent = list(range(int(start.sum())))  # union-find over the runs, with path halving
 
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
 
-def _count_graph_components(n: int, a: np.ndarray, b: np.ndarray) -> int:
-    """Connected components of the graph on nodes 0..n-1 with edges (a_i, b_i).
-
-    Each round starts from stars (every node points at its tree's root) and
-    merges every star that has an edge to another: a root hooks onto the
-    smallest smaller root it touches, and a root that neither hooked nor
-    was hooked onto hooks onto a neighbouring root, which has itself hooked,
-    so no cycle forms. The stars of a component at least halve per round,
-    and pointer jumping flattens the new trees in about log2 of their depth
-    steps: O(log² n) array passes whatever the components' shapes.
-    """
-    ids = np.arange(n)
-    parent = ids
-    while True:
-        ra, rb = parent[a], parent[b]
-        cross = ra != rb
-        if not cross.any():
-            return int(np.count_nonzero(parent == ids))
-        lo = np.minimum(ra[cross], rb[cross])
-        hi = np.maximum(ra[cross], rb[cross])
-        hook = ids.copy()
-        np.minimum.at(hook, hi, lo)
-        hooked = hook != ids
-        idle = ~hooked
-        idle[hook[hooked]] = False
-        # an idle root is the smaller end of all its edges, and every larger end hooked
-        from_idle = idle[lo]
-        hook[lo[from_idle]] = hi[from_idle]
-        parent = hook[parent]
-        while not np.array_equal(grand := parent[parent], parent):
-            parent = grand
+    count = len(parent)
+    for i, j in zip(run[:-1][shared].tolist(), run[1:][shared].tolist()):
+        lo, hi = root(i), root(j)
+        if lo > hi:
+            lo, hi = hi, lo
+        if lo != hi:  # the edge joins two trees: the larger root goes under the smaller
+            parent[hi] = lo
+            count -= 1
+    return count

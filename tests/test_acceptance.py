@@ -36,7 +36,7 @@ from countgrad.harness import (
 from countgrad.harness.blob import inverse_softplus
 from countgrad.losses import LossWeights, guidance_loss
 from countgrad.model import CountModel, ModelConfig, load_checkpoint, save_checkpoint
-from countgrad.raster import oracle_count_components
+from countgrad.raster import ORACLE_THRESHOLD, oracle_count_components
 from countgrad.targets import grid_cardinality, pixel_cardinality
 
 pytestmark = pytest.mark.acceptance
@@ -45,11 +45,6 @@ pytestmark = pytest.mark.acceptance
 # fixed-bandwidth baseline, wide enough (half a grid cell) that the dense
 # regression target stays learnable under the shared training recipe.
 DENSITY_TWIN_SIGMA = 4.0
-# Component-oracle threshold for guided scenes. Guidance settles the
-# requested count as fully-on blobs (peak brightness ~0.55-0.8) plus at
-# most a fraction of one count parked well below visibility (peak <~
-# 0.35); 0.40 sits between those bands. The CLI's ORACLE_THRESHOLD is the same.
-ORACLE_THRESHOLD = 0.40
 # Slack for "non-increasing after smoothing". The rises it absorbs come
 # from Adam's momentum, not from noise at the kink of the absolute
 # deviation: when a slot's presence crosses the steep opacity band, the
@@ -246,7 +241,7 @@ def _primitive_cases():
         ("add_rhs", b, lambda p: _weighted_sum(ad.add(ad.new_param(p.tape, a), p), w)),
         ("mul_lhs", a, lambda p: _weighted_sum(ad.mul(p, ad.new_param(p.tape, b)), w)),
         ("mul_rhs", b, lambda p: _weighted_sum(ad.mul(ad.new_param(p.tape, a), p), w)),
-        ("scale", a, lambda p: _weighted_sum(ad.scale(p, 1.7), w)),
+        ("mul_const", a, lambda p: _weighted_sum(ad.mul(p, 1.7), w)),
         ("sigmoid", a, lambda p: _weighted_sum(ad.sigmoid(p), w)),
         ("softplus", a, lambda p: _weighted_sum(ad.softplus(p), w)),
         ("clamp", a, lambda p: _weighted_sum(ad.clamp(p, -0.5, 0.5), w)),

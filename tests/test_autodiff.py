@@ -30,13 +30,13 @@ def check(fn, point, tol=TOL):
 
 
 class TestElementwise:
-    def test_add_scale_mul_chain(self):
+    def test_add_mul_chain(self):
         rng = np.random.default_rng(0)
         c = rng.normal(size=(3, 4))
 
         def fn(x):
             # (x + c) * (0.5 c - x): the model's losses write 1 - p this way
-            y = ad.mul(ad.add(x, c), ad.add(ad.scale(x, -1.0), 0.5 * c))
+            y = ad.mul(ad.add(x, c), ad.add(ad.mul(x, -1.0), 0.5 * c))
             return ad.reduce_sum(ad.mul(y, y))
 
         check(fn, rng.normal(size=(3, 4)))
@@ -62,9 +62,9 @@ class TestElementwise:
         assert grads.wrt(x).shape == (1, 3)
         np.testing.assert_array_equal(grads.wrt(x), np.full((1, 3), 4.0))
 
-    def test_scale(self):
+    def test_mul_by_constant(self):
         rng = np.random.default_rng(3)
-        check(lambda x: ad.reduce_sum(ad.scale(x, -2.5)), rng.normal(size=(6,)))
+        check(lambda x: ad.reduce_sum(ad.mul(x, -2.5)), rng.normal(size=(6,)))
 
     def test_sigmoid(self):
         rng = np.random.default_rng(4)
@@ -783,7 +783,7 @@ _DISKS = _rng.uniform(0.5, 6.5, size=(4, 3))  # rows, cols, radii, heights of 3 
 FOLD_CASES = [
     ("add", ad.add, (_POS, _ANY)),
     ("mul", ad.mul, (_POS, _ANY)),
-    ("scale", lambda x: ad.scale(x, 1.7), (_ANY,)),
+    ("mul_const", lambda x: ad.mul(x, 1.7), (_ANY,)),
     ("matvec", ad.matvec, (_MAT, _ANY)),
     ("take_index", lambda x: ad.take_index(x, np.array([1, 0, 1])), (_ANY,)),
     ("reshape", lambda x: ad.reshape(x, (3, 2)), (_ANY,)),
@@ -812,8 +812,9 @@ class TestConstantFolding:
     """A primitive whose operands are all constants returns a plain array, unrecorded."""
 
     def test_cases_cover_every_primitive(self):
-        # a whole conv layer (bias and rectifier) is a second conv2d case
-        names = {name.removesuffix("_block") for name, _, _ in FOLD_CASES}
+        # a whole conv layer (bias and rectifier) is a second conv2d case, and
+        # a product with a plain constant a second mul case
+        names = {name.removesuffix("_block").removesuffix("_const") for name, _, _ in FOLD_CASES}
         assert names == set(ad.__all__) - TAPE_API
 
     def test_every_primitive_is_called_by_the_package(self):

@@ -169,3 +169,46 @@ def test_name_that_is_not_utf8_raises_the_format_error(tmp_path, fmt, name, what
     path.write_bytes(reframe(blob, lambda body: body.replace(name, b"\xff" + name[1:], 1)))
     with pytest.raises(error, match=f"{what} at byte {start} is not UTF-8"):
         read(path)
+
+
+def _duplicate_scene_id(body: bytes) -> bytes:
+    first = (7).to_bytes(4, "little") + b"\x00\x00\x08\x00\x08\x00"  # scene id, category, height, width
+    assert body.count(first) == 1
+    return body.replace(first, (70000).to_bytes(4, "little") + first[4:])
+
+
+def _pixel_out_of_range(body: bytes) -> bytes:
+    return body.replace(np.float64(1 / 64).tobytes(), np.float64(2.0).tobytes(), 1)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_duplicate_scene_id, r"records at byte \d+: scene ids must be unique"),
+        (_pixel_out_of_range, r"record at byte \d+: image values must lie in \[0, 1\]"),
+    ],
+    ids=["duplicate-scene-id", "pixel-out-of-range"],
+)
+def test_corpus_record_that_breaks_an_invariant_raises_the_format_error(tmp_path, edit, message):
+    path = tmp_path / "f"
+    write_corpus(golden_corpus(), path)
+    path.write_bytes(reframe(path.read_bytes(), edit))
+    with pytest.raises(CorpusError, match=message):
+        read_corpus(path)
+
+
+@pytest.mark.parametrize(
+    "damage,message",
+    [
+        (lambda k: k[..., :-1], r"stage1_k has shape \(3, 3, 1, 1\), expected \(3, 3, 1, 2\)"),
+        (lambda k: np.where(k > 0, np.nan, k), "stage1_k has non-finite values"),
+    ],
+    ids=["wrong-shape", "non-finite"],
+)
+def test_checkpoint_weights_that_break_the_config_raise_the_format_error(tmp_path, damage, message):
+    model = golden_model()
+    model.weights["stage1_k"] = damage(model.weights["stage1_k"])
+    path = tmp_path / "f"
+    save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match=rf"weights at byte \d+: {message}"):
+        load_checkpoint(path)

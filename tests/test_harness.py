@@ -291,6 +291,18 @@ class TestTrainStage:
         with pytest.raises(ValueError, match="non-empty strong_mix"):
             train_stage(CountModel.create(TINY_MODEL), empty, cfg)
 
+    @pytest.mark.parametrize("split,name", [("train", "training"), ("val", "validation")])
+    def test_empty_corpus_rejected_before_any_step(self, split, name):
+        data = tiny_data()
+        empty = Corpus(data.train.spec, split, ())
+        stage = StageData(empty, data.val) if split == "train" else StageData(data.train, empty)
+        model = CountModel.create(TINY_MODEL)
+        before = {k: v.copy() for k, v in model.weights.items()}
+        with pytest.raises(ValueError, match=f"empty {name} corpus"):
+            train_stage(model, stage, TrainConfig(stage="strong", epochs=1, batch_size=4, seed=0))
+        for k, v in model.weights.items():
+            np.testing.assert_array_equal(v, before[k])
+
     @pytest.mark.parametrize("batch_size", [6, 10])  # gamma * batch_size 0.3, and 0.5 rounding to even
     def test_weak_stage_rejects_gamma_that_rounds_to_no_replays(self, batch_size):
         weights = LossWeights(gamma=0.05)
@@ -491,21 +503,21 @@ def loop_render(tape, params, nodes):
     """Reference renderer: one slot at a time, as the renderer was first written."""
     n = params.canvas
     lim = float(n - 1)
-    opacity = ad.sigmoid(ad.scale(nodes["presence"], 1.0 / blob.PRESENCE_TEMP))
+    opacity = ad.sigmoid(ad.mul(nodes["presence"], 1.0 / blob.PRESENCE_TEMP))
     rows_c = ad.clamp(nodes["center_row"], 0.0, lim)
     cols_c = ad.clamp(nodes["center_col"], 0.0, lim)
     radius = ad.softplus(nodes["radius_raw"])
     intensity = ad.add(
-        ad.scale(ad.sigmoid(nodes["intensity_raw"]), blob._INTENSITY_SPAN), blob._INTENSITY_LO
+        ad.mul(ad.sigmoid(nodes["intensity_raw"]), blob._INTENSITY_SPAN), blob._INTENSITY_LO
     )
     rr = np.arange(n, dtype=np.float64)[:, None]
     cc = np.arange(n, dtype=np.float64)[None, :]
     image = None
     for s in range(params.n_slots):
-        dr = ad.add(ad.scale(ad.take_index(rows_c, s), -1.0), rr)
-        dc = ad.add(ad.scale(ad.take_index(cols_c, s), -1.0), cc)
+        dr = ad.add(ad.mul(ad.take_index(rows_c, s), -1.0), rr)
+        dc = ad.add(ad.mul(ad.take_index(cols_c, s), -1.0), cc)
         dist = _sqrt(ad.add(ad.add(ad.mul(dr, dr), ad.mul(dc, dc)), 1e-9))
-        edge = ad.scale(ad.add(ad.scale(dist, -1.0), ad.take_index(radius, s)), 1.0 / blob.EDGE_SOFTNESS)
+        edge = ad.mul(ad.add(ad.mul(dist, -1.0), ad.take_index(radius, s)), 1.0 / blob.EDGE_SOFTNESS)
         height = ad.mul(ad.take_index(opacity, s), ad.take_index(intensity, s))
         contrib = ad.mul(ad.sigmoid(edge), height)
         image = contrib if image is None else ad.add(image, contrib)

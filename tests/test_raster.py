@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 from scipy import ndimage  # test-only reference for the component oracle
 
+from countgrad import autodiff as ad
+from countgrad.harness import init_blob_params, render_blob_scene
 from countgrad.raster import (
+    ORACLE_THRESHOLD,
     InstanceMask,
     PointAnnotations,
     Scene,
@@ -293,16 +296,34 @@ class TestOracleMatchesScipyLabel:
         n = oracle_count_components(img, 0.5)
         assert n == scipy_count(img, 0.5) == int(img.sum())
 
-    @pytest.mark.parametrize("transpose", [False, True])
-    def test_serpentine_is_one_component_in_bounded_time(self, transpose):
-        img = serpentine(64).T.copy() if transpose else serpentine(64)
-        assert img.sum() == 2080 and scipy_count(img, 0.5) == 1
+    @pytest.mark.parametrize("n_on", [1, 4, 8, 12])
+    def test_rendered_guidance_scenes(self, n_on):
+        # what every caller passes: a 64 px blob render at the guidance cutoff
+        rng = np.random.default_rng(n_on)
+        for grow in (0.0, 1.0, 2.0, 3.0):  # the widest radii merge some neighbours
+            params = init_blob_params(rng, n_slots=12, n_on=n_on)
+            params = params.with_values({"radius_raw": params.radius_raw + grow})
+            img = render_blob_scene(ad.Tape(), params, params.as_dict())
+            assert oracle_count_components(img, ORACLE_THRESHOLD) == scipy_count(img, ORACLE_THRESHOLD)
+
+    @pytest.mark.parametrize("case", ["serpentine", "serpentine_transposed", "noise"])
+    def test_heavy_64px_images_in_bounded_time(self, case):
+        if case == "noise":
+            img = np.random.default_rng(0).random((64, 64))  # ~1000 short runs and their edges
+            expected = scipy_count(img, 0.5)
+        else:
+            img = serpentine(64).T.copy() if case == "serpentine_transposed" else serpentine(64)
+            assert img.sum() == 2080
+            expected = 1
+        assert scipy_count(img, 0.5) == expected
         times = []
         for _ in range(5):
             t0 = time.perf_counter()
-            assert oracle_count_components(img, 0.5) == 1
+            assert oracle_count_components(img, 0.5) == expected
             times.append(time.perf_counter() - t0)
-        # about 0.1-0.5 ms; a propagation one pixel per step would take ~2000 steps
+        # about 0.05 ms on the serpentine, 0.5 ms on its transpose (2048
+        # one-pixel runs) and 0.25 ms on noise; a propagation one pixel per
+        # step would take ~2000 steps on the serpentine
         assert min(times) < 0.01
 
     @pytest.mark.parametrize(
