@@ -233,9 +233,13 @@ def guide_optimize(
     classification head never runs. Descends guidance loss with Adam over
     the ``STEERED`` latents; the rest keep their initial values. Stops at
     the step budget or once the best loss has not improved by more than
-    ``PLATEAU_DELTA`` for plateau_patience consecutive steps. Returns the
-    best-loss parameters and the full (step, loss, predicted count)
-    trajectory.
+    ``PLATEAU_DELTA`` for plateau_patience consecutive steps. When the
+    count crosses the request (the sign of count - q_req differs from the
+    previous step's), Adam's momentum is zeroed before the update: past the
+    kink of |count - q_req| the gradient's sign flips, so momentum carried
+    over is overshoot (adaptive restart, O'Donoghue & Candes, 2015).
+    Returns the best-loss parameters and the full (step, loss, predicted
+    count) trajectory.
     """
     values = {k: v.copy() for k, v in params.as_dict().items()}
     opt = Adam({k: STEP_SIZE for k in STEERED})
@@ -243,6 +247,7 @@ def guide_optimize(
     best_loss = math.inf
     best_values = {k: v.copy() for k, v in values.items()}
     stale = 0
+    above = None  # whether the previous step's count was above the request
     conditioning = model.frozen_conditioning(category_id)
 
     for step in range(gcfg.max_steps):
@@ -266,6 +271,9 @@ def guide_optimize(
         if stale >= gcfg.plateau_patience:
             break
 
+        if above is not None and above != (count > gcfg.q_req):
+            opt.restart_momentum()
+        above = count > gcfg.q_req
         grads = ad.backward(tape, loss)
         opt.step(values, {k: grads.wrt(nodes[k]) for k in STEERED})
 

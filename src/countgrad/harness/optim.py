@@ -47,3 +47,8 @@ class Adam:
             m += (1.0 - _BETA1) * (g - m)
             v += (1.0 - _BETA2) * (g * g - v)
             weights[name] = weights[name] - self.lr[name] * (m / c1) / (np.sqrt(v / c2) + _EPS)
+
+    def restart_momentum(self) -> None:
+        """Zero every first-moment estimate; second moments and the step count stay."""
+        for m in self._m.values():
+            m.fill(0.0)

@@ -84,6 +84,25 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam({"x": 0.0})
 
+    def test_restart_momentum_zeroes_first_moments_only(self):
+        # after a restart the update is the new gradient's own first moment,
+        # with the second moments and the bias-correction step count kept
+        opt = Adam({"x": 0.1})
+        w = {"x": np.array([1.0, -2.0])}
+        history = [np.array([1.0, 1.0]), np.array([2.0, -1.0]), np.array([-0.5, 3.0])]
+        for g in history[:2]:
+            opt.step(w, {"x": g})
+        before = w["x"].copy()
+        opt.restart_momentum()
+        opt.step(w, {"x": history[2]})
+        v = np.zeros(2)
+        for g in history:
+            v += 0.001 * (g * g - v)
+        step = 0.1 * (0.1 * history[2] / (1 - 0.9**3)) / (np.sqrt(v / (1 - 0.999**3)) + 1e-8)
+        np.testing.assert_allclose(before - w["x"], step, rtol=1e-12)
+        # the first two gradients' momentum would have moved the first coordinate down
+        assert w["x"][0] > before[0]
+
 
 class TestMetrics:
     def test_hand_case(self):
@@ -531,7 +550,7 @@ def loop_guide(model, params, gcfg):
     constant, and the count comes from the training forward, not ``count_on_tape``."""
     values = {k: v.copy() for k, v in params.as_dict().items()}
     opt = Adam({k: blob.STEP_SIZE for k in blob.STEERED})
-    trajectory, best_loss, best_values, stale = [], np.inf, dict(values), 0
+    trajectory, best_loss, best_values, stale, above = [], np.inf, dict(values), 0, None
     for step in range(gcfg.max_steps):
         tape = ad.Tape()
         nodes = {k: ad.new_param(tape, v) for k, v in values.items()}
@@ -548,6 +567,9 @@ def loop_guide(model, params, gcfg):
             stale += 1
             if stale >= gcfg.plateau_patience:
                 break
+        if above is not None and above != (trajectory[-1][2] > gcfg.q_req):
+            opt.restart_momentum()  # the count crossed the request
+        above = trajectory[-1][2] > gcfg.q_req
         grads = ad.backward(tape, loss)
         opt.step(values, {k: grads.wrt(nodes[k]) for k in blob.STEERED})
     return best_values, trajectory
@@ -678,6 +700,28 @@ class TestGuideOptimize:
         assert len(traj) <= 12
         assert all(np.isfinite(r.loss) and np.isfinite(r.count) for r in traj)
         assert [r.step for r in traj] == list(range(len(traj)))
+
+    def test_momentum_restarts_when_the_count_crosses_the_request(self, monkeypatch):
+        model = CountModel.create()
+        params = init_blob_params(np.random.default_rng(1), n_slots=6, n_on=1)
+        gcfg = GuidanceConfig(q_req=3.123, max_steps=40, plateau_patience=40)
+        restarts, restart = [], Adam.restart_momentum
+
+        def spy(opt):
+            restarts.append(opt.t)  # updates made so far: the step's index
+            restart(opt)
+
+        monkeypatch.setattr(Adam, "restart_momentum", spy)
+        _, traj = guide_optimize(model, params, gcfg)
+        above = [r.count > gcfg.q_req for r in traj]
+        crossings = [i for i in range(1, len(traj)) if above[i] != above[i - 1]]
+        assert len(crossings) >= 2
+        assert restarts == crossings
+        # without the restart the run is the same up to the first crossing's step only
+        monkeypatch.setattr(Adam, "restart_momentum", lambda opt: None)
+        _, plain = guide_optimize(model, params, gcfg)
+        first = crossings[0] + 1
+        assert plain[:first] == traj[:first] and plain[first] != traj[first]
 
     def test_loss_decreases_on_untrained_model(self):
         model = CountModel.create()
