@@ -66,10 +66,32 @@ SMOOTHED_RISE_TOL = 0.1
 TILING_RMSE_FACTOR = math.sqrt(4)
 
 
-def verdict(capfd, criterion: int, ok: bool, detail: str) -> None:
-    line = f"criterion {criterion:>2}: {'PASS' if ok else 'FAIL'} - {detail}"
-    with capfd.disabled():
-        print(line, flush=True)
+def _gated(name: str, value, op: str, bound) -> dict:
+    """A gated statistic with its margin: how far inside its bound it is."""
+    value, bound = float(value), float(bound)
+    margin = value - bound if op == ">=" else bound - value
+    return {"name": name, "value": value, "op": op, "bound": bound, "margin": margin}
+
+
+@pytest.fixture
+def verdict(capfd, acceptance_record):
+    """``verdict(criterion, ok, detail, stats)`` prints the criterion's line.
+
+    With ``--acceptance-report`` (tests/conftest.py) it also fills the
+    criterion's record; ``stats`` are its gated statistics as (name, value,
+    op, bound) with op one of "<=", "<", ">=" and "==".
+    """
+
+    def emit(criterion: int, ok: bool, detail: str, stats=()) -> None:
+        line = f"criterion {criterion:>2}: {'PASS' if ok else 'FAIL'} - {detail}"
+        with capfd.disabled():
+            print(line, flush=True)
+        if acceptance_record is not None:
+            acceptance_record.update(
+                criterion=criterion, ok=bool(ok), detail=detail, stats=[_gated(*s) for s in stats]
+            )
+
+    return emit
 
 
 # -- shared trained models -----------------------------------------------------
@@ -178,7 +200,7 @@ def twin_setup():
 # -- criteria -------------------------------------------------------------------
 
 
-def test_criterion_1_cardinality_conservation(capfd):
+def test_criterion_1_cardinality_conservation(verdict):
     spec = SceneSpec(
         count_range=(0, 40), radius_range=(1.5, 3.5), min_separation=0.4, seed=101
     )
@@ -194,7 +216,12 @@ def test_criterion_1_cardinality_conservation(capfd):
         worst = max(worst, abs(total - q) / max(q, 1))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
-    verdict(capfd, 1, ok, f"worst relative error {worst:.2e} over 1000 scenes in {elapsed:.2f}s")
+    verdict(
+        1,
+        ok,
+        f"worst relative error {worst:.2e} over 1000 scenes in {elapsed:.2f}s",
+        [("worst_relative_error", worst, "<=", 1e-9), ("seconds", elapsed, "<", 10.0)],
+    )
     assert ok
 
 
@@ -336,7 +363,7 @@ def _primitive_cases():
     return cases
 
 
-def test_criterion_2_gradient_fidelity(capfd):
+def test_criterion_2_gradient_fidelity(verdict):
     t0 = time.perf_counter()
     worst_prim, worst_name = 0.0, ""
     for name, point, fn in _primitive_cases():
@@ -380,28 +407,34 @@ def test_criterion_2_gradient_fidelity(capfd):
     elapsed = time.perf_counter() - t0
     ok = worst_prim <= 1e-6 and worst_e2e <= 1e-4 and elapsed < 120.0
     verdict(
-        capfd, 2,
+        2,
         ok,
         f"primitives worst {worst_prim:.2e} ({worst_name}), end-to-end worst "
         f"{worst_e2e:.2e}, {elapsed:.1f}s",
+        [
+            ("primitives_worst", worst_prim, "<=", 1e-6),
+            ("end_to_end_worst", worst_e2e, "<=", 1e-4),
+            ("seconds", elapsed, "<", 120.0),
+        ],
     )
     assert ok
 
 
-def test_criterion_3_training_convergence(capfd, strong_setup):
+def test_criterion_3_training_convergence(verdict, strong_setup):
     m = strong_setup["metrics"]
     minutes = strong_setup["cpu_minutes"]
     ok = m.mae <= 1.5 and m.rmse <= 2.5 and minutes < 30.0
     verdict(
-        capfd, 3,
+        3,
         ok,
         f"held-out MAE {m.mae:.3f} (<=1.5), RMSE {m.rmse:.3f} (<=2.5), "
         f"{minutes:.1f} CPU-min (<30)",
+        [("mae", m.mae, "<=", 1.5), ("rmse", m.rmse, "<=", 2.5), ("cpu_minutes", minutes, "<", 30.0)],
     )
     assert ok
 
 
-def test_criterion_4_hybrid_ordering(capfd, hybrid_setup):
+def test_criterion_4_hybrid_ordering(verdict, hybrid_setup):
     h = hybrid_setup
     improvement = (h["strong_shifted"].mae - h["finetuned_shifted"].mae) / h[
         "strong_shifted"
@@ -412,16 +445,21 @@ def test_criterion_4_hybrid_ordering(capfd, hybrid_setup):
         and h["strong_mixed"].mae < h["weak_only_mixed"].mae
     )
     verdict(
-        capfd, 4,
+        4,
         ok,
         f"shifted-count MAE improvement {improvement:.0%} (>=20%); mixed MAE "
         f"strong {h['strong_mixed'].mae:.2f} / finetuned {h['finetuned_mixed'].mae:.2f} "
         f"/ weak-only {h['weak_only_mixed'].mae:.2f}",
+        [
+            ("shifted_mae_improvement", improvement, ">=", 0.20),
+            ("finetuned_mixed_mae", h["finetuned_mixed"].mae, "<", h["weak_only_mixed"].mae),
+            ("strong_mixed_mae", h["strong_mixed"].mae, "<", h["weak_only_mixed"].mae),
+        ],
     )
     assert ok
 
 
-def test_criterion_5_size_bias(capfd, twin_setup):
+def test_criterion_5_size_bias(verdict, twin_setup):
     rows, cls_rows = size_bias_tables(
         {"card": twin_setup["card"], "den": twin_setup["den"]},
         twin_setup["eval"],
@@ -450,7 +488,7 @@ def test_criterion_5_size_bias(capfd, twin_setup):
         if r.model == "den" and r.ratio != 1.0
     )
     verdict(
-        capfd, 5,
+        5,
         ok,
         f"{detail_rows}; density drift by size class {by_class[0]:+.2f}/"
         f"{by_class[1]:+.2f}/{by_class[2]:+.2f}; {twin_setup['cpu_hours']:.2f} CPU-h",
@@ -458,7 +496,7 @@ def test_criterion_5_size_bias(capfd, twin_setup):
     assert ok
 
 
-def test_criterion_6_guidance_control(capfd, strong_setup):
+def test_criterion_6_guidance_control(verdict, strong_setup):
     model = strong_setup["model"]
     successes = 0
     total = 0
@@ -490,15 +528,20 @@ def test_criterion_6_guidance_control(capfd, strong_setup):
     rate = successes / total
     ok = rate >= 0.70 and over_budget == 0 and worst_rise <= SMOOTHED_RISE_TOL and descended
     verdict(
-        capfd, 6,
+        6,
         ok,
         f"success {successes}/{total} ({rate:.0%}, >=70%), worst smoothed loss rise "
         f"{worst_rise:.1e} (tol {SMOOTHED_RISE_TOL:.0e}), all within 150 steps",
+        [
+            ("success_rate", rate, ">=", 0.70),
+            ("worst_smoothed_rise", worst_rise, "<=", SMOOTHED_RISE_TOL),
+            ("runs_over_budget", over_budget, "==", 0),
+        ],
     )
     assert ok
 
 
-def test_criterion_7_threshold_semantics(capfd, strong_setup):
+def test_criterion_7_threshold_semantics(verdict, strong_setup):
     model = strong_setup["model"]
     images = [s.scene.image for s in strong_setup["test"].samples()[:100]]
     cats = [s.category_id for s in strong_setup["test"].samples()[:100]]
@@ -512,7 +555,7 @@ def test_criterion_7_threshold_semantics(capfd, strong_setup):
     )
     ok = exact == 100 and monotone
     verdict(
-        capfd, 7,
+        7,
         ok,
         f"kappa=0 bit-exact on {exact}/100 images; counts monotone non-increasing "
         f"over kappa grid: {monotone}",
@@ -520,14 +563,14 @@ def test_criterion_7_threshold_semantics(capfd, strong_setup):
     assert ok
 
 
-def test_criterion_8_metric_correctness(capfd):
+def test_criterion_8_metric_correctness(verdict):
     m = compute_metrics([1.0, -1.0, 3.0, -3.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0])
     ok = m.mae == 1.6 and m.rmse == 2.0
-    verdict(capfd, 8, ok, f"hand case MAE {m.mae} (=1.6), RMSE {m.rmse} (=2.0)")
+    verdict(8, ok, f"hand case MAE {m.mae} (=1.6), RMSE {m.rmse} (=2.0)")
     assert ok
 
 
-def test_criterion_9_tiling_consistency(capfd, strong_setup):
+def test_criterion_9_tiling_consistency(verdict, strong_setup):
     model = strong_setup["model"]
     samples = strong_setup["test"].samples()
     by_cat: dict[int, list] = {}
@@ -566,17 +609,18 @@ def test_criterion_9_tiling_consistency(capfd, strong_setup):
     bound = TILING_RMSE_FACTOR * metrics.rmse
     ok = max_split_gap == 0.0 and mean_err <= bound
     verdict(
-        capfd, 9,
+        9,
         ok,
         f"tiled vs per-tile sum gap {max_split_gap} (==0); mean |tiled - truth| "
         f"{mean_err:.3f} <= {bound:.3f} (sqrt(4) x eval RMSE {metrics.rmse:.3f}; "
         f"eval MAE {metrics.mae:.3f}) over {len(composites)} composites "
         f"{per_cat}; signed mean {signed_mean:+.3f}",
+        [("split_gap", max_split_gap, "==", 0.0), ("mean_abs_error", mean_err, "<=", bound)],
     )
     assert ok
 
 
-def test_criterion_10_serialization_round_trips(capfd, tmp_path):
+def test_criterion_10_serialization_round_trips(verdict, tmp_path):
     rng = np.random.default_rng(31)
     corpus_ok = 0
     for i in range(100):
@@ -623,7 +667,7 @@ def test_criterion_10_serialization_round_trips(capfd, tmp_path):
 
     ok = corpus_ok == 100 and ckpt_ok == 100
     verdict(
-        capfd, 10,
+        10,
         ok,
         f"corpus round-trips {corpus_ok}/100, checkpoint round-trips {ckpt_ok}/100",
     )
