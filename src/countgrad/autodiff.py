@@ -59,12 +59,11 @@ __all__ = [
     "matvec",
     "take_index",
     "reshape",
-    "concat_channels",
     "sigmoid",
     "softplus",
     "clamp",
     "conv2d",
-    "upsample_nearest",
+    "fuse_conv2d",
     "soft_disks",
     "reduce_sum",
     "l1_diff",
@@ -290,14 +289,6 @@ def reshape(x: DiffArray, shape) -> DiffArray:
     return _recorded(xv.reshape(tuple(shape)), (x, lambda g: g.reshape(old)))
 
 
-def concat_channels(a: DiffArray, b: DiffArray) -> DiffArray:
-    """Concatenate two (..., C) arrays with equal leading shape along the last axis."""
-    av, bv = _values(a), _values(b)
-    ca = av.shape[-1]
-    out = np.concatenate([av, bv], axis=-1)
-    return _recorded(out, (a, lambda g: g[..., :ca]), (b, lambda g: g[..., ca:]))
-
-
 def _logistic(x: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-x))`` with libm's ``exp``: ``scipy.special.expit``, bit for bit.
 
@@ -393,6 +384,34 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> 
     return windows.reshape(b * ho * wo, kh * kw * c)
 
 
+def _bias_values(bias, co: int) -> np.ndarray | None:
+    bv = None if bias is None else _values(bias)
+    if bv is not None and bv.shape != (co,):
+        raise ValueError(f"bias shape {bv.shape} does not match the kernel's ({co},) outputs")
+    return bv
+
+
+def _transposed_conv(g: np.ndarray, kv: np.ndarray, padding: int, h: int, w: int) -> np.ndarray:
+    """Input gradient of a stride-1 conv with ``padding`` below the kernel size.
+
+    The transposed convolution of the (B, ho, wo, C') output gradient ``g``
+    with the (kh, kw, C, C') kernel ``kv``, as one im2col GEMM: the
+    (B, h, w, C) gradient of the unpadded input.
+    """
+    kh, kw, c, co = kv.shape
+    gp = _pad(g, kh - 1 - padding, kw - 1 - padding)
+    flipped = kv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * co, c)
+    return (_im2col(gp, kh, kw, 1, h, w) @ flipped).reshape(len(g), h, w, c)
+
+
+def _columns_grad(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Kernel gradient of the GEMM ``cols @ kernel``: ``cols.T @ g``, one row of ``g`` per column row."""
+    # row-major columns, copied from a one-channel input's tap-major stack,
+    # whose GEMM OpenBLAS sums in another order at some sizes
+    rows = np.ascontiguousarray(cols)
+    return rows.T @ g.reshape(len(rows), -1)
+
+
 def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) -> DiffArray:
     """Cross-correlate (H, W, C) or batched (B, H, W, C) input with a (kh, kw, C, C') kernel.
 
@@ -425,9 +444,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
     hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise ValueError("kernel larger than padded input")
-    bv = None if bias is None else _values(bias)
-    if bv is not None and bv.shape != (co,):
-        raise ValueError(f"bias shape {bv.shape} does not match the kernel's ({co},) outputs")
+    bv = _bias_values(bias, co)
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     in_shape = xv.shape
@@ -446,9 +463,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
     if stride == 1 and padding < min(kh, kw):
 
         def grad_input(g):
-            gp = _pad(g.reshape(b, ho, wo, co), kh - 1 - padding, kw - 1 - padding)
-            flipped = kv[::-1, ::-1].transpose(0, 1, 3, 2).reshape(kh * kw * co, c)
-            return (_im2col(gp, kh, kw, 1, h, w) @ flipped).reshape(in_shape)
+            return _transposed_conv(g.reshape(b, ho, wo, co), kv, padding, h, w).reshape(in_shape)
 
     else:
 
@@ -463,10 +478,7 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
             return gxp[:, padding : padding + h, padding : padding + w].reshape(in_shape)
 
     def grad_kernel(g):
-        # row-major columns, copied from a one-channel input's tap-major stack,
-        # whose GEMM OpenBLAS sums in another order at some sizes
-        rows = np.ascontiguousarray(cols)
-        return (rows.T @ g.reshape(b * ho * wo, co)).reshape(kh, kw, c, co)
+        return _columns_grad(cols, g).reshape(kh, kw, c, co)
 
     def grad_bias(g):
         return _unbroadcast(g, (co,))
@@ -476,16 +488,106 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0, bias=None, slope=None) 
     )
 
 
-def upsample_nearest(x: DiffArray, factor: int = 2) -> DiffArray:
-    """Nearest-neighbor upsampling of an (H, W, C) or (B, H, W, C) array by an integer factor."""
-    xv = _values(x)
-    *lead, h, w, c = xv.shape
-    out = xv.repeat(factor, axis=-3).repeat(factor, axis=-2)
+# A 3-tap kernel over a 2x nearest-upsampled axis reads two coarse pixels
+# per output: even outputs (phase 0) with taps (k0, k1 + k2), odd ones
+# (phase 1) with (k0 + k1, k2). Row 2a + u holds the taps that phase a
+# applies at its window tap u.
+_PHASE_TAPS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
-    def grad(g):
-        return g.reshape(*lead, h, factor, w, factor, c).sum(axis=(-4, -2))
 
-    return _recorded(out, (x, grad))
+def _phase_kernel(k3: np.ndarray) -> np.ndarray:
+    """(4·C, 4·C') GEMM kernel of every output phase from (3, 3, C, C') taps.
+
+    Rows run over the 2x2 window taps (u, v) and input channels, columns
+    over the phases (a, b) and output channels.
+    """
+    _, _, c, co = k3.shape
+    taps = _PHASE_TAPS @ (_PHASE_TAPS @ k3.reshape(3, -1)).reshape(4, 3, -1)  # (au, bv, c·co)
+    return taps.reshape(2, 2, 2, 2, c, co).transpose(1, 3, 4, 0, 2, 5).reshape(4 * c, 4 * co)
+
+
+def _phase_kernel_grad(gk: np.ndarray, c: int, co: int) -> np.ndarray:
+    """Gradient of ``_phase_kernel``'s (3, 3, C, C') taps from that of its output."""
+    g = gk.reshape(2, 2, c, 2, 2, co).transpose(3, 0, 4, 1, 2, 5).reshape(4, 4, -1)  # (au, bv, c·co)
+    return (_PHASE_TAPS.T @ (_PHASE_TAPS.T @ g).reshape(4, -1)).reshape(3, 3, c, co)
+
+
+def fuse_conv2d(fine, coarse, kernel, bias=None, slope=None) -> DiffArray:
+    """``conv2d(concat(fine, upsample_nearest(coarse, 2)), kernel, padding=1)``, neither built.
+
+    ``fine`` is (B, 2h, 2w, C2), ``coarse`` is (B, h, w, C3), and
+    ``kernel`` is (3, 3, C2 + C3, C'), its input channels in that order;
+    ``bias`` and ``slope`` act as in :func:`conv2d`, so a whole layer is
+    one node. The fine half is conv2d's stride-1 im2col GEMM with the
+    kernel's first C2 input channels. The coarse half runs at the coarse
+    resolution, as a sub-pixel convolution (Shi et al., 2016): for each
+    output phase (a, b), the row and column parity, a 3x3 kernel over the
+    upsampled map is a 2x2 kernel over the coarse one whose taps are sums
+    of the 3x3 taps (``_PHASE_TAPS``). One GEMM over the 2x2 windows of
+    the coarse map padded by 1 gives every phase at (h+1)×(w+1) window
+    positions; phase (a, b) is rows [a:a+h, b:b+w] of its own C' columns,
+    added into the outputs [a::2, b::2]. That is 16·C3 multiply-adds per
+    coarse pixel and output channel in place of 36·C3. The results equal
+    the concatenated conv's up to float64 rounding.
+
+    Gradients: ``fine``'s is conv2d's stride-1 transposed conv; ``coarse``'s
+    a stride-1 transposed 2x2 conv of the output gradient scattered into
+    its phases; the kernel's the two GEMMs' kernel gradients, the coarse
+    half's mapped back through the tap sums. The node keeps both halves'
+    columns only when the kernel needs a gradient.
+    """
+    fv, cv, kv = _values(fine), _values(coarse), _values(kernel)
+    ok = fv.ndim == cv.ndim == kv.ndim == 4
+    if ok:
+        (b, h, w, c3), c2 = cv.shape, fv.shape[3]
+        ok = fv.shape[:3] == (b, 2 * h, 2 * w) and kv.shape[:3] == (3, 3, c2 + c3)
+    if not ok:
+        raise ValueError(
+            "fuse_conv2d expects (B, 2h, 2w, C2) and (B, h, w, C3) inputs and a "
+            f"(3, 3, C2 + C3, C') kernel, got {fv.shape}, {cv.shape}, {kv.shape}"
+        )
+    co = kv.shape[3]
+    bv = _bias_values(bias, co)
+    tape = _tape_of(fine, coarse, kernel, bias)
+
+    k2, k3 = kv[:, :, :c2], kv[:, :, c2:]
+    cols2 = _im2col(_pad(fv, 1, 1), 3, 3, 1, 2 * h, 2 * w)
+    out = (cols2 @ k2.reshape(9 * c2, co)).reshape(b, 2 * h, 2 * w, co)
+    kp = _phase_kernel(k3)
+    cols3 = _im2col(_pad(cv, 1, 1), 2, 2, 1, h + 1, w + 1)
+    phases = (cols3 @ kp).reshape(b, h + 1, w + 1, 2, 2, co)
+    for i in (0, 1):
+        for j in (0, 1):
+            out[:, i::2, j::2] += phases[:, i : i + h, j : j + w, i, j]
+    if bv is not None:
+        out += bv
+    scale_grad = None if slope is None else _rectify(out, slope, tape)
+    if tape is None:
+        return out
+
+    def split(g):
+        """The output gradient, and it scattered into the coarse GEMM's phases."""
+        if scale_grad is not None:
+            g = scale_grad(g)
+        gp = np.zeros((b, h + 1, w + 1, 2, 2, co))
+        for i in (0, 1):
+            for j in (0, 1):
+                gp[:, i : i + h, j : j + w, i, j] = g[:, i::2, j::2]
+        return g, gp.reshape(b, h + 1, w + 1, 4 * co)
+
+    def grad_kernel(t):
+        g2 = _columns_grad(cols2, t[0]).reshape(3, 3, c2, co)
+        g3 = _phase_kernel_grad(_columns_grad(cols3, t[1]), c3, co)
+        return np.concatenate([g2, g3], axis=2)
+
+    return _recorded(
+        out,
+        (fine, lambda t: _transposed_conv(t[0], k2, 1, 2 * h, 2 * w)),
+        (coarse, lambda t: _transposed_conv(t[1], kp.reshape(2, 2, c3, 4 * co), 1, h, w)),
+        (kernel, grad_kernel),
+        (bias, lambda t: _unbroadcast(t[0], (co,))),
+        pre=split,
+    )
 
 
 def soft_disks(rows, cols, radius, height, n: int, softness: float) -> DiffArray:

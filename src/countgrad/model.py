@@ -345,8 +345,10 @@ class CountModel:
         h2g = ad.mul(h2, cond.gate2)
         h3g = ad.mul(h3, cond.gate3)
 
-        # one top-down refinement pass: upsample deep features onto mid scale
-        return _block(w, ad.concat_channels(h2g, ad.upsample_nearest(h3g, 2)), "fuse", 1)
+        # one top-down refinement pass: a 3x3 conv over the mid-scale
+        # features and the deep ones upsampled 2x onto them, as one node
+        # that runs each half at its own resolution
+        return ad.fuse_conv2d(h2g, h3g, w["fuse_k"], bias=w["fuse_b"], slope=0.1)
 
     def _count_grid(self, w, f_cnt, out_shape):
         """Softplus cardinality grid from the count head's conv features."""

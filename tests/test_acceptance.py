@@ -242,7 +242,7 @@ def _primitive_cases():
     wvec = rng.normal(size=(4,))
     img = rng.normal(size=(6, 6, 2))
     ker = rng.normal(size=(3, 3, 2, 3))
-    stack = rng.normal(size=(4, 4, 2))
+    stack = rng.normal(size=(4, 4, 2))  # the fuse cases' coarse input
     # the 68 normals a retired grid_pool_sum case drew, so later cases keep their data
     rng.normal(size=68)
     w_conv = rng.normal(size=(6, 6, 3))
@@ -257,6 +257,15 @@ def _primitive_cases():
     rows, cols, radius, height = rng.uniform((0, 0, 1, -1), (47, 47, 3, 1), size=(3, 4)).T
     disks = dict(rows=rows, cols=cols, radius=radius, height=height)
     w_disks = rng.normal(size=(48, 48))
+    # the fuse layer on one image: stack is its coarse input, with more
+    # channels than the fine one
+    fuse = dict(
+        fine=rng.normal(size=(1, 8, 8, 1)),
+        coarse=stack[None],
+        kernel=rng.normal(size=(3, 3, 3, 3)),
+        bias=rng.normal(size=(3,)),
+    )
+    w_fuse = rng.normal(size=(1, 8, 8, 3))
 
     def soft_disks_case(wrt):
         def fn(p):
@@ -264,6 +273,13 @@ def _primitive_cases():
             return _weighted_sum(ad.soft_disks(*operands, 48, 0.35), w_disks)
 
         return (f"soft_disks_{wrt}", disks[wrt], fn)
+
+    def fuse_case(wrt):
+        def fn(p):
+            f, c, k, b = (p if name == wrt else v for name, v in fuse.items())
+            return _weighted_sum(ad.fuse_conv2d(f, c, k, bias=b, slope=0.1), w_fuse)
+
+        return (f"fuse_conv2d_{wrt}", fuse[wrt], fn)
 
     cases = [
         ("add_lhs", a, lambda p: _weighted_sum(ad.add(p, ad.new_param(p.tape, b)), w)),
@@ -278,27 +294,6 @@ def _primitive_cases():
         ("reduce_sum", a, lambda p: ad.reduce_sum(p)),
         ("reshape", a, lambda p: _weighted_sum(ad.reshape(p, (4, 3)), w.reshape(4, 3))),
         ("take_index", vec, lambda p: ad.take_index(p, 2)),
-        (
-            "concat_lhs",
-            stack,
-            lambda p: _weighted_sum(
-                ad.concat_channels(p, ad.new_param(p.tape, stack + 1.0)),
-                np.ones((4, 4, 4)),
-            ),
-        ),
-        (
-            "concat_rhs",
-            stack,
-            lambda p: _weighted_sum(
-                ad.concat_channels(ad.new_param(p.tape, stack + 1.0), p),
-                np.ones((4, 4, 4)),
-            ),
-        ),
-        (
-            "upsample_nearest",
-            stack,
-            lambda p: _weighted_sum(ad.upsample_nearest(p, 2), np.ones((8, 8, 2))),
-        ),
         ("matvec_w", mat, lambda p: _weighted_sum(ad.matvec(p, vec), wvec)),
         ("matvec_v", vec, lambda p: _weighted_sum(ad.matvec(ad.new_param(p.tape, mat), p), wvec)),
         (
@@ -359,6 +354,7 @@ def _primitive_cases():
             ),
         ),
         *(soft_disks_case(k) for k in disks),
+        *(fuse_case(k) for k in fuse),
     ]
     return cases
 

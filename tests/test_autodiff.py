@@ -153,18 +153,6 @@ class TestLinearAndShape:
 
         check(fn, rng.normal(size=(3, 4)))
 
-    def test_concat_channels(self):
-        rng = np.random.default_rng(13)
-        b0 = rng.normal(size=(2, 2, 3))
-
-        def fn(a):
-            tape = a.tape
-            b = ad.new_param(tape, b0)
-            y = ad.concat_channels(a, b)
-            return ad.reduce_sum(ad.mul(y, y))
-
-        check(fn, rng.normal(size=(2, 2, 2)))
-
 
 class TestConvAndPooling:
     def test_conv2d_input_gradient(self):
@@ -213,22 +201,6 @@ class TestConvAndPooling:
         k = ad.new_param(tape, np.zeros((3, 3, 3, 1)))
         with pytest.raises(ValueError):
             ad.conv2d(x, k)
-
-    def test_upsample_nearest(self):
-        rng = np.random.default_rng(23)
-
-        def fn(x):
-            y = ad.upsample_nearest(x, 2)
-            return ad.reduce_sum(ad.mul(y, y))
-
-        check(fn, rng.normal(size=(3, 3, 2)))
-
-    def test_upsample_values(self):
-        tape = ad.Tape()
-        x = ad.new_param(tape, np.arange(4.0).reshape(2, 2, 1))
-        y = ad.upsample_nearest(x, 2)
-        np.testing.assert_array_equal(y.values[:2, :2, 0], 0.0)
-        np.testing.assert_array_equal(y.values[2:, 2:, 0], 3.0)
 
 
 class TestBatched:
@@ -322,22 +294,6 @@ class TestBatched:
         tape = ad.Tape()
         x = ad.new_param(tape, np.arange(24.0).reshape(2, 3, 4))
         np.testing.assert_array_equal(ad.reduce_sum(x, axis=(-2, -1)).values, [66.0, 210.0])
-
-    def test_upsample_batched(self):
-        rng = np.random.default_rng(61)
-        w = rng.normal(size=(2, 6, 6, 2))
-        check(lambda x: ad.reduce_sum(ad.mul(ad.upsample_nearest(x, 2), w)), rng.normal(size=(2, 3, 3, 2)))
-
-    def test_concat_channels_batched(self):
-        rng = np.random.default_rng(62)
-        b0 = rng.normal(size=(2, 3, 3, 1))
-        w = rng.normal(size=(2, 3, 3, 3))
-
-        def fn(a):
-            y = ad.concat_channels(a, ad.new_param(a.tape, b0))
-            return ad.reduce_sum(ad.mul(y, w))
-
-        check(fn, rng.normal(size=(2, 3, 3, 2)))
 
 
 def _leaky_relu(x, slope):
@@ -451,6 +407,104 @@ class TestFusedConvLayer:
         x, k = np.zeros((4, 4, 1)), np.zeros((3, 3, 1, 2))
         with pytest.raises(ValueError, match=re.escape(f"bias shape {shape}") + ".*" + re.escape("(2,)")):
             ad.conv2d(x, k, bias=np.zeros(shape))
+
+
+def _concat_channels(a, b):
+    """Channel concatenation node, for the fuse layer's unfused reference chain."""
+    ca = a.values.shape[-1]
+    out = np.concatenate([a.values, b.values], axis=-1)
+    return ad._recorded(out, (a, lambda g: g[..., :ca]), (b, lambda g: g[..., ca:]))
+
+
+def _upsample_nearest(x):
+    """2x nearest-neighbor upsampling node of a (B, h, w, C) array, for the same chain."""
+    b, h, w, c = x.values.shape
+    out = x.values.repeat(2, axis=1).repeat(2, axis=2)
+    return ad._recorded(out, (x, lambda g: g.reshape(b, h, 2, w, 2, c).sum(axis=(2, 4))))
+
+
+class TestFuseConvLayer:
+    """fuse_conv2d: the 3x3 conv of a fine map concatenated with a 2x-upsampled coarse one."""
+
+    @staticmethod
+    def operands(rng, b, h=4, w=3, c2=2, c3=3, co=4):
+        return {
+            "fine": rng.normal(size=(b, 2 * h, 2 * w, c2)),
+            "coarse": rng.normal(size=(b, h, w, c3)),
+            "kernel": rng.normal(size=(3, 3, c2 + c3, co)) * 0.5,
+            "bias": rng.normal(size=(co,)),
+        }
+
+    @staticmethod
+    def run(ops, w, fused=True):
+        """Values and every operand's gradient of sum(y * w), on one tape."""
+        tape = ad.Tape()
+        p = {k: ad.new_param(tape, v) for k, v in ops.items()}
+        if fused:
+            y = ad.fuse_conv2d(p["fine"], p["coarse"], p["kernel"], bias=p["bias"], slope=0.1)
+        else:
+            x = _concat_channels(p["fine"], _upsample_nearest(p["coarse"]))
+            y = ad.conv2d(x, p["kernel"], padding=1, bias=p["bias"], slope=0.1)
+        grads = ad.backward(tape, ad.reduce_sum(ad.mul(y, w)))
+        return len(tape), y.values, {k: grads.wrt(v) for k, v in p.items()}
+
+    @pytest.mark.parametrize("wrt", ["fine", "coarse", "kernel", "bias"])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_gradients(self, b, wrt):
+        rng = np.random.default_rng(80 + b)
+        ops = self.operands(rng, b)
+        w = rng.normal(size=(b, 8, 6, 4))
+
+        def fn(p):
+            args = {k: (p if k == wrt else v) for k, v in ops.items()}
+            y = ad.fuse_conv2d(args["fine"], args["coarse"], args["kernel"], bias=args["bias"], slope=0.1)
+            return ad.reduce_sum(ad.mul(y, w))
+
+        check(fn, ops[wrt])
+
+    @pytest.mark.parametrize("shape", [(3, 4, 3, 2, 3, 4), (2, 8, 8, 16, 24, 24), (1, 2, 5, 1, 1, 2)])
+    def test_matches_the_upsample_concat_conv_chain(self, shape):
+        b, *dims = shape
+        rng = np.random.default_rng(sum(shape))
+        ops = self.operands(rng, b, *dims)
+        h, w_, _, _, co = dims
+        w = rng.normal(size=(b, 2 * h, 2 * w_, co))
+        n_fused, y, grads = self.run(ops, w)
+        n_chain, y_ref, grads_ref = self.run(ops, w, fused=False)
+        assert n_chain - n_fused == 2  # no upsample or concat node
+        for got, ref in [(y, y_ref), *((grads[k], grads_ref[k]) for k in ops)]:
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_batched_rows_equal_single_rows_bit_for_bit(self):
+        rng = np.random.default_rng(85)
+        ops = self.operands(rng, 3, 8, 8, 16, 24, 24)
+        w = rng.normal(size=(3, 16, 16, 24))
+        _, y, grads = self.run(ops, w)
+        kernel_grad = 0.0
+        for i in range(3):
+            row = {k: (v[i : i + 1] if k in ("fine", "coarse") else v) for k, v in ops.items()}
+            _, y_i, grads_i = self.run(row, w[i : i + 1])
+            assert y_i.tobytes() == y[i : i + 1].tobytes()
+            for k in ("fine", "coarse"):
+                assert grads_i[k].tobytes() == grads[k][i : i + 1].tobytes()
+            kernel_grad = kernel_grad + grads_i["kernel"]
+        # the kernel's gradient sums over rows, in another order
+        np.testing.assert_allclose(grads["kernel"], kernel_grad, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "fine, coarse, kernel",
+        [
+            ((1, 8, 6, 2), (1, 4, 4, 3), (3, 3, 5, 4)),
+            ((1, 8, 6, 2), (2, 4, 3, 3), (3, 3, 5, 4)),
+            ((1, 8, 6, 2), (1, 4, 3, 3), (3, 3, 4, 4)),
+            ((1, 8, 6, 2), (1, 4, 3, 3), (2, 2, 5, 4)),
+            ((8, 6, 2), (4, 3, 3), (3, 3, 5, 4)),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, fine, coarse, kernel):
+        with pytest.raises(ValueError, match="fuse_conv2d expects"):
+            ad.fuse_conv2d(np.zeros(fine), np.zeros(coarse), np.zeros(kernel))
 
 
 def _columns(xp, kh, kw, stride, ho, wo):
@@ -778,6 +832,8 @@ _MAT = _rng.normal(size=(4, 3))
 _IMGS = _rng.normal(size=(2, 5, 5, 2))
 _KER = _rng.normal(size=(3, 3, 2, 3))
 _DISKS = _rng.uniform(0.5, 6.5, size=(4, 3))  # rows, cols, radii, heights of 3 disks on 8 px
+_FINE = _rng.normal(size=(2, 6, 6, 1))  # the fuse layer's fine input; its coarse one is 3x3 of _IMGS
+_KER_FUSE = _rng.normal(size=(3, 3, 3, 3))
 
 # (primitive, call, operands): every array primitive, given its operands
 FOLD_CASES = [
@@ -787,7 +843,6 @@ FOLD_CASES = [
     ("matvec", ad.matvec, (_MAT, _ANY)),
     ("take_index", lambda x: ad.take_index(x, np.array([1, 0, 1])), (_ANY,)),
     ("reshape", lambda x: ad.reshape(x, (3, 2)), (_ANY,)),
-    ("concat_channels", ad.concat_channels, (_POS, _ANY)),
     ("sigmoid", ad.sigmoid, (_ANY,)),
     ("softplus", ad.softplus, (_ANY,)),
     ("clamp", lambda x: ad.clamp(x, -0.5, 0.5), (_ANY,)),
@@ -797,7 +852,16 @@ FOLD_CASES = [
         lambda x, k, b: ad.conv2d(x, k, stride=2, padding=1, bias=b, slope=0.1),
         (_IMGS, _KER, _MAT[0]),
     ),
-    ("upsample_nearest", ad.upsample_nearest, (_IMGS,)),
+    (
+        "fuse_conv2d",
+        lambda f, c, k: ad.fuse_conv2d(f, c, k),
+        (_FINE, _IMGS[:, :3, :3], _KER_FUSE),
+    ),
+    (
+        "fuse_conv2d_block",
+        lambda f, c, k, b: ad.fuse_conv2d(f, c, k, bias=b, slope=0.1),
+        (_FINE, _IMGS[:, :3, :3], _KER_FUSE, _MAT[0]),
+    ),
     ("soft_disks", lambda r, c, rad, h: ad.soft_disks(r, c, rad, h, 8, 0.35), tuple(_DISKS)),
     ("reduce_sum", lambda x: ad.reduce_sum(x, axis=-1), (_ANY,)),
     ("l1_diff", lambda x: ad.l1_diff(x, _POS), (_ANY,)),

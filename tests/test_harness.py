@@ -664,12 +664,12 @@ class TestGuideOptimize:
         return sizes
 
     def test_step_records_render_and_count_path_only(self, monkeypatch):
-        # 3 latent leaves, 7 render nodes, 13 trunk and count-head nodes and
+        # 3 latent leaves, 7 render nodes, 11 trunk and count-head nodes and
         # 2 loss nodes; the class head's 7 nodes are never recorded
         sizes = self.spy_backward(monkeypatch)
         params = init_blob_params(np.random.default_rng(8), n_slots=12, n_on=4)
         guide_optimize(CountModel.create(), params, GuidanceConfig(q_req=6.0, max_steps=3))
-        assert sizes == [25, 25, 25]
+        assert sizes == [23, 23, 23]
 
     def test_bad_category_or_canvas_fails_before_first_step(self, monkeypatch):
         sizes = self.spy_backward(monkeypatch)

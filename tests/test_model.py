@@ -157,19 +157,20 @@ class TestForward:
             assert grid.tobytes() == trained.y_cnt.values[i : i + 1].tobytes()
 
     def test_each_conv_layer_is_one_tape_node(self):
-        # 23 weight leaves and 29 interior nodes, the last the class logits;
-        # a conv layer's bias and rectifier live inside its conv2d node
+        # 23 weight leaves and 27 interior nodes, the last the class logits;
+        # a conv layer's bias and rectifier live inside its conv node, and
+        # the fuse layer takes both gated scales as they are
         model = CountModel.create(SMALL)
         tape = ad.Tape()
         model.forward_on_tape(tape, np.zeros((IMAGES_PER_FORWARD, 16, 16)), 0)
         assert len(model.weights) == 23
-        assert len(tape) == 52
+        assert len(tape) == 50
         # guidance: the image is the only leaf, and the count path records
-        # its 13 descendants (reshape, three stages, two gates, upsample,
-        # concat, fuse, count head, count conv, softplus, reshape)
+        # its 11 descendants (reshape, three stages, two gates, fuse, count
+        # head, count conv, softplus, reshape)
         tape = ad.Tape()
         model.count_on_tape(ad.new_param(tape, np.zeros((16, 16))), model.frozen_conditioning(0))
-        assert len(tape) == 14
+        assert len(tape) == 12
 
     @pytest.mark.parametrize("cat", [0, 1])
     def test_count_on_tape_equals_forward_count_grid_bitwise(self, cat):
@@ -194,7 +195,7 @@ class TestForward:
         assert np.abs(got_grad).max() > 0.0
         # image leaf, forward and two loss nodes; the count path records
         # no weight leaves, and neither the class head's conv nor its chain
-        assert (ref_nodes, got_nodes) == (56, 16)
+        assert (ref_nodes, got_nodes) == (54, 14)
         stack = np.stack([img, img[::-1], img.T])
         plain = model.count_on_tape(stack, cond)
         assert plain.tobytes() == model.forward_on_tape(ad.Tape(), stack, cat).y_cnt.values.tobytes()
