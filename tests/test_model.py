@@ -465,6 +465,27 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.weights[name], model.weights[name])
             assert loaded.weights[name].dtype == np.float64
 
+    def test_loaded_weights_count_as_the_upsample_concat_chain(self, tmp_path, monkeypatch):
+        # the fuse layer's kernel keeps the layout of the conv over
+        # concat(h2g, upsample(h3g)), so a checkpoint counts as it did then
+        model = CountModel.create(ModelConfig(seed=7))
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        rng = np.random.default_rng(17)
+        images = [random_image(rng) for _ in range(5)] + [random_image(rng, 128)]
+        cats = [0, 1, 0, 1, 1, 0]
+        got = loaded.counts(images, cats, (0.0, 0.5))
+
+        def chain(fine, coarse, kernel, bias, slope):
+            up = coarse.repeat(2, axis=1).repeat(2, axis=2)
+            x = np.concatenate([fine, up], axis=-1)
+            return ad.conv2d(x, kernel, padding=1, bias=bias, slope=slope)
+
+        monkeypatch.setattr(ad, "fuse_conv2d", chain)
+        ref = loaded.counts(images, cats, (0.0, 0.5))
+        assert np.abs(np.subtract(got, ref)).max() <= 1e-12 * np.abs(ref).max()
+
     def test_round_trip_after_training_like_mutation(self, tmp_path):
         model = CountModel.create()
         rng = np.random.default_rng(16)
