@@ -27,7 +27,10 @@ and apply the leaky ReLU in place on its GEMM output. For a one-channel
 input (the image) its im2col columns are one stack of the kernel's strided
 taps, used through its transpose. The rectifier is the branch-free
 ``max(z, slope·z)``, and its gradient scales by ``slope`` or 1 through the
-node's one bool mask.
+node's one bool mask. The model's top-down fuse layer is one node as
+well: :func:`fuse_conv2d` convolves a fine map concatenated with a 2x
+nearest-upsampled coarse one, running the coarse half at its own
+resolution, so neither the upsampled map nor the concatenation is built.
 
 The blob renderer's disks are one node too: :func:`soft_disks` sums S
 soft-edged disks, evaluating each only inside a window around its centre
@@ -405,7 +408,7 @@ def _transposed_conv(g: np.ndarray, kv: np.ndarray, padding: int, h: int, w: int
 
 
 def _columns_grad(cols: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Kernel gradient of the GEMM ``cols @ kernel``: ``cols.T @ g``, one row of ``g`` per column row."""
+    """``cols.T @ g``: the kernel gradient of the GEMM ``cols @ kernel`` whose output gradient is ``g``."""
     # row-major columns, copied from a one-channel input's tap-major stack,
     # whose GEMM OpenBLAS sums in another order at some sizes
     rows = np.ascontiguousarray(cols)

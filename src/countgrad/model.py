@@ -2,7 +2,9 @@
 
 The trunk downsamples three times (stride 2 each); a learned category
 embedding gates trunk channels through sigmoid attention, one top-down pass
-refines the gated features, and two parallel heads emit per-cell outputs at
+refines the gated features (a 3x3 conv over the 1/4-scale features and the
+1/8-scale ones upsampled onto them, run as one ``ad.fuse_conv2d`` node that
+never builds the upsampled map), and two parallel heads emit per-cell outputs at
 1/8 input resolution: a softplus cardinality grid (never negative) and a
 class-logit grid from a scaled inner product between cell features and
 the projected embedding. One network (``_network``) composes four parts:
@@ -74,6 +76,8 @@ CHECKPOINT_VERSION = 1
 # without scipy, 4 measured train 408/s at 62 MB and infer 770/s at 61 MB.
 # With kappa-0 counts running the count head alone (no scipy, seeds 1-3):
 #   infer  4: 896/s, 63 MB   8: 891/s, 74 MB
+# With the fuse layer as one sub-pixel node (train seeds 1-5, infer 1-10):
+#   train  4: 465/s, 60 MB   infer  4: 1108/s, 60 MB
 # Four is the fastest for training and within a few percent of the fastest
 # for inference, at less memory. It also fixes how training sums gradients:
 # another value changes trained weights in the last bits, which early
