@@ -1,9 +1,12 @@
 """Command-line front end: data generation, training, evaluation, experiments.
 
-Every subcommand reads an INI config (sections of flat key=value pairs),
-takes ``--seed`` and ``--out``, writes its artifacts into the output
-directory, and exits 0 only when every declared artifact was produced.
-The key set per section is documented in the README.
+Every subcommand reads an INI config (sections of flat key=value pairs)
+and takes ``--seed`` and ``--out``. Its ``cmd_*`` function writes its
+files into the output directory and returns their paths with the lines
+of its summary; ``main`` then writes ``summary.txt`` beside them, prints
+each path, and exits 0 only when every file is there and not empty. A
+command that fails leaves no summary. The key set per section is
+documented in the README.
 """
 
 from __future__ import annotations
@@ -172,16 +175,13 @@ def _checkpoint_at(path) -> CountModel:
     return load_checkpoint(path)
 
 
-def _write_csv(path, header, rows):
+def _write_csv(outdir, name, header, rows):
+    path = os.path.join(outdir, name)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-
-
-def _write_summary(path, lines):
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return path
 
 
 # -- subcommands -------------------------------------------------------------
@@ -200,17 +200,13 @@ def cmd_gen_data(cfg, seed, outdir):
     corpus_path = os.path.join(outdir, "corpus.bin")
     write_corpus(corpus, corpus_path)
     counts = [s.scene.count(s.category_id) for s in corpus.samples()]
-    _write_summary(
-        os.path.join(outdir, "summary.txt"),
-        [
-            f"scenes: {n}",
-            f"split: {split}",
-            f"scene ids: {first_id}..{first_id + n - 1}",
-            f"counts: min {min(counts)} max {max(counts)} mean {np.mean(counts):.2f}",
-            f"spec: {spec.to_json()}",
-        ],
-    )
-    return [corpus_path, os.path.join(outdir, "summary.txt")]
+    return [corpus_path], [
+        f"scenes: {n}",
+        f"split: {split}",
+        f"scene ids: {first_id}..{first_id + n - 1}",
+        f"counts: min {min(counts)} max {max(counts)} mean {np.mean(counts):.2f}",
+        f"spec: {spec.to_json()}",
+    ]
 
 
 def _load_model(cfg):
@@ -237,20 +233,14 @@ def cmd_train(cfg, seed, outdir):
 
     ckpt_path = os.path.join(outdir, "model.ckpt")
     save_checkpoint(model, ckpt_path)
-    log_path = os.path.join(outdir, "train_log.csv")
-    _write_csv(log_path, list(log[0]), [list(r.values()) for r in log])
+    log_path = _write_csv(outdir, "train_log.csv", list(log[0]), [list(r.values()) for r in log])
     best = min(r["val_mae"] for r in log)
-    summary_path = os.path.join(outdir, "summary.txt")
-    _write_summary(
-        summary_path,
-        [
-            f"stage: {stage}",
-            f"epochs run: {len(log)} of {config.epochs}",
-            f"best val MAE: {best:.4f} (checkpoint restored to this epoch)",
-            f"final val RMSE: {log[-1]['val_rmse']:.4f}",
-        ],
-    )
-    return [ckpt_path, log_path, summary_path]
+    return [ckpt_path, log_path], [
+        f"stage: {stage}",
+        f"epochs run: {len(log)} of {config.epochs}",
+        f"best val MAE: {best:.4f} (checkpoint restored to this epoch)",
+        f"final val RMSE: {log[-1]['val_rmse']:.4f}",
+    ]
 
 
 def cmd_eval(cfg, seed, outdir):
@@ -264,14 +254,10 @@ def cmd_eval(cfg, seed, outdir):
     rows = [[item.scene_id, t, p, p - t] for item, t, p in zip(corpus.items, truths, preds)]
     m = compute_metrics(preds, truths)
 
-    per_image = os.path.join(outdir, "per_image.csv")
-    _write_csv(per_image, ["scene_id", "truth", "pred", "error"], rows)
-    summary_path = os.path.join(outdir, "summary.txt")
-    _write_summary(
-        summary_path,
-        [f"images: {m.n}", f"kappa: {kappa}", f"MAE: {m.mae:.4f}", f"RMSE: {m.rmse:.4f}"],
-    )
-    return [per_image, summary_path]
+    per_image = _write_csv(outdir, "per_image.csv", ["scene_id", "truth", "pred", "error"], rows)
+    return [per_image], [
+        f"images: {m.n}", f"kappa: {kappa}", f"MAE: {m.mae:.4f}", f"RMSE: {m.rmse:.4f}"
+    ]
 
 
 def _named_checkpoints(value) -> dict[str, str]:
@@ -297,31 +283,29 @@ def cmd_size_bias(cfg, seed, outdir):
     }
 
     rows, cls_rows = size_bias_tables(models, corpus, ratios, by_size_class)
-    table_path = os.path.join(outdir, "size_bias.csv")
-    _write_csv(
-        table_path,
-        ["model", "ratio", "mean_drift", "mean_abs_drift", "mae"],
-        [[r.model, r.ratio, r.mean_drift, r.mean_abs_drift, r.mae] for r in rows],
-    )
-    artifacts = [table_path]
-
+    artifacts = [
+        _write_csv(
+            outdir,
+            "size_bias.csv",
+            ["model", "ratio", "mean_drift", "mean_abs_drift", "mae"],
+            [[r.model, r.ratio, r.mean_drift, r.mean_abs_drift, r.mae] for r in rows],
+        )
+    ]
     lines = ["model,ratio -> mean drift (objects)"]
     for r in rows:
         lines.append(f"  {r.model} @ {r.ratio}: drift {r.mean_drift:+.3f}, MAE {r.mae:.3f}")
 
     if by_size_class:
-        cls_path = os.path.join(outdir, "size_class_drift.csv")
-        _write_csv(
-            cls_path,
-            ["model", "ratio", "size_class", "mean_drift", "n"],
-            [[r.model, r.ratio, r.size_class, r.mean_drift, r.n] for r in cls_rows],
+        artifacts.append(
+            _write_csv(
+                outdir,
+                "size_class_drift.csv",
+                ["model", "ratio", "size_class", "mean_drift", "n"],
+                [[r.model, r.ratio, r.size_class, r.mean_drift, r.n] for r in cls_rows],
+            )
         )
-        artifacts.append(cls_path)
         lines.append("size-class breakdown written to size_class_drift.csv")
-
-    summary_path = os.path.join(outdir, "summary.txt")
-    _write_summary(summary_path, lines)
-    return artifacts + [summary_path]
+    return artifacts, lines
 
 
 def cmd_threshold_sweep(cfg, seed, outdir):
@@ -331,15 +315,10 @@ def cmd_threshold_sweep(cfg, seed, outdir):
     kappas = _get(s, "kappas", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
 
     rows, best = threshold_sweep(model, corpus, kappas)
-    table_path = os.path.join(outdir, "threshold_sweep.csv")
-    _write_csv(table_path, ["kappa", "mae", "rmse"], [[r.kappa, r.mae, r.rmse] for r in rows])
-    summary_path = os.path.join(outdir, "summary.txt")
-    _write_summary(
-        summary_path,
-        [f"kappa {r.kappa:.2f}: MAE {r.mae:.4f} RMSE {r.rmse:.4f}" for r in rows]
-        + [f"best kappa by MAE: {best}"],
-    )
-    return [table_path, summary_path]
+    table = [[r.kappa, r.mae, r.rmse] for r in rows]
+    lines = [f"kappa {r.kappa:.2f}: MAE {r.mae:.4f} RMSE {r.rmse:.4f}" for r in rows]
+    lines.append(f"best kappa by MAE: {best}")
+    return [_write_csv(outdir, "threshold_sweep.csv", ["kappa", "mae", "rmse"], table)], lines
 
 
 def cmd_guide(cfg, seed, outdir):
@@ -366,22 +345,14 @@ def cmd_guide(cfg, seed, outdir):
     components = oracle_count_components(image, ORACLE_THRESHOLD)
     final_pred = model.predict_count(image, category)
 
-    traj_path = os.path.join(outdir, "trajectory.csv")
-    _write_csv(
-        traj_path, ["step", "loss", "count"], [[r.step, r.loss, r.count] for r in trajectory]
-    )
-    summary_path = os.path.join(outdir, "summary.txt")
-    _write_summary(
-        summary_path,
-        [
-            f"requested count: {q_req}",
-            f"steps used: {len(trajectory)} of {gcfg.max_steps}",
-            f"final predicted count: {final_pred:.3f}",
-            f"connected components at threshold {ORACLE_THRESHOLD}: {components}",
-            "component count stands in for a human count of the rendered scene",
-        ],
-    )
-    return [traj_path, summary_path]
+    table = [[r.step, r.loss, r.count] for r in trajectory]
+    return [_write_csv(outdir, "trajectory.csv", ["step", "loss", "count"], table)], [
+        f"requested count: {q_req}",
+        f"steps used: {len(trajectory)} of {gcfg.max_steps}",
+        f"final predicted count: {final_pred:.3f}",
+        f"connected components at threshold {ORACLE_THRESHOLD}: {components}",
+        "component count stands in for a human count of the rendered scene",
+    ]
 
 
 def cmd_ablate(cfg, seed, outdir):
@@ -411,9 +382,9 @@ def cmd_ablate(cfg, seed, outdir):
 
     model_cfg = _read(cfg, "model", ModelConfig)
     rows = run_ablation(variants, model_cfg, strong_data, weak_data, eval_corpus, strong_cfg, weak_cfg)
-    table_path = os.path.join(outdir, "ablation.csv")
-    _write_csv(
-        table_path,
+    path = _write_csv(
+        outdir,
+        "ablation.csv",
         ["variant", "mae", "rmse", "alpha1", "beta1", "alpha2", "beta2", "gamma"],
         [
             [r.variant, r.mae, r.rmse, r.weights.alpha1, r.weights.beta1,
@@ -421,12 +392,7 @@ def cmd_ablate(cfg, seed, outdir):
             for r in rows
         ],
     )
-    summary_path = os.path.join(outdir, "summary.txt")
-    _write_summary(
-        summary_path,
-        [f"{r.variant}: MAE {r.mae:.4f} RMSE {r.rmse:.4f}" for r in rows],
-    )
-    return [table_path, summary_path]
+    return [path], [f"{r.variant}: MAE {r.mae:.4f} RMSE {r.rmse:.4f}" for r in rows]
 
 
 _COMMANDS = {
@@ -456,7 +422,10 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        artifacts = _COMMANDS[args.command](cfg, args.seed, args.out)
+        artifacts, lines = _COMMANDS[args.command](cfg, args.seed, args.out)
+        artifacts.append(os.path.join(args.out, "summary.txt"))
+        with open(artifacts[-1], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

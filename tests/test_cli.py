@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import countgrad
+from countgrad import cli
 from countgrad.cli import _SECTION_KEYS, _load_config, _read, main
 from countgrad.datagen import SceneSpec, corpora_equal, read_corpus
 from countgrad.harness import GuidanceConfig, TrainConfig
@@ -660,6 +661,66 @@ def test_missing_checkpoint_is_reported_by_name(command, trained, tmp_path, caps
     assert main([command, cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: checkpoint not found: {ckpt}\n"
     assert os.listdir(out) == []
+
+
+# One working config per command, small enough to run each twice.
+WORKING = {
+    "gen-data": TINY_SCENE + "\n[corpus]\nn = 2\n",
+    "train": TINY_MODEL + "[train]\ntrain_corpus = {train}\nval_corpus = {val}\nepochs = 1\nbatch_size = 4\n",
+    "eval": "[eval]\ncheckpoint = {ckpt}\ncorpus = {val}\n",
+    "size-bias": "[size-bias]\ncheckpoints = a={ckpt}\ncorpus = {val}\nratios = 1,2\nby_size_class = true\n",
+    "threshold-sweep": "[threshold-sweep]\ncheckpoint = {ckpt}\ncorpus = {val}\nkappas = 0,0.5\n",
+    "guide": "[guide]\ncheckpoint = {ckpt}\nq_req = 2\nn_slots = 4\nn_on = 2\nmax_steps = 3\n",
+    "ablate": TINY_MODEL
+    + "[ablate]\nvariants = no-weak\nstrong_train_corpus = {train}\nstrong_val_corpus = {val}\n"
+    "weak_train_corpus = {train}\nweak_val_corpus = {val}\neval_corpus = {val}\n[loss]\ngamma = 0.0\n"
+    "[strong-train]\nepochs = 1\nbatch_size = 4\n[weak-train]\nepochs = 1\nbatch_size = 4\n",
+}
+
+
+def working_config(command, trained, tmp_path):
+    _, ckpt, train_corpus, val_corpus = trained
+    text = WORKING[command].format(ckpt=ckpt, train=train_corpus, val=val_corpus)
+    return write_config(tmp_path, "w.ini", text)
+
+
+@pytest.mark.parametrize("command", sorted(WORKING))
+class TestArtifactsOwnedByMain:
+    def test_summary_is_written_and_listed_last(self, command, trained, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([command, working_config(command, trained, tmp_path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == f"wrote {out / 'summary.txt'}"
+        assert len(printed) == len(set(printed)) >= 2
+        assert (out / "summary.txt").read_text().endswith("\n")
+
+    def test_failing_command_leaves_no_summary(self, command, trained, tmp_path, capsys, monkeypatch):
+        # the command runs to the end, writing its own files, and then fails
+        run = cli._COMMANDS[command]
+
+        def fails_late(*args):
+            run(*args)
+            raise RuntimeError("late failure")
+
+        monkeypatch.setitem(cli._COMMANDS, command, fails_late)
+        out = tmp_path / "o"
+        assert main([command, working_config(command, trained, tmp_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: late failure\n"
+        assert "wrote" not in captured.out
+        assert os.listdir(out) and not (out / "summary.txt").exists()
+
+
+def test_unwritten_artifact_fails(tmp_path, capsys, monkeypatch):
+    never = str(tmp_path / "o" / "never.csv")
+    monkeypatch.setitem(cli._COMMANDS, "gen-data", lambda cfg, seed, outdir: ([never], ["line"]))
+    cfg = write_config(tmp_path, "g.ini", "[corpus]\nn = 1\n")
+    assert main(["gen-data", cfg, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: missing artifacts: {[never]}\n"
+    summary = tmp_path / "o" / "summary.txt"
+    assert captured.out.splitlines() == [f"wrote {never}", f"wrote {summary}"]
+    assert summary.read_text() == "line\n"
 
 
 def test_console_entry_point(tmp_path):
