@@ -206,8 +206,8 @@ def render_scene(
     if not 0.0 <= background <= 1.0:
         raise ValueError("background must lie in [0, 1]")
     image = np.full(image_shape, background, dtype=np.float64)
-    visible = []
-    for paint in paints:
+    owner = np.full(image_shape, -1, dtype=np.intp)  # index of the paint on top
+    for k, paint in enumerate(paints):
         if paint.mask.shape != tuple(image_shape):
             raise ValueError("paint mask shape differs from canvas")
         if not 0.0 <= paint.intensity <= 1.0:
@@ -217,9 +217,8 @@ def render_scene(
                 f"intensity {paint.intensity} too close to background {background}"
             )
         image[paint.mask.pixels] = paint.intensity
-        visible.append(paint.mask.pixels.copy())
-        for earlier in visible[:-1]:
-            earlier &= ~paint.mask.pixels
+        owner[paint.mask.pixels] = k
+    visible = (owner == k for k in range(len(paints)))
     instances = tuple(
         SceneInstance(p.category_id, InstanceMask(v))
         for p, v in zip(paints, visible)

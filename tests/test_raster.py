@@ -48,6 +48,29 @@ def looped_linear_weights(n_out, n_in, ratio):
     return w
 
 
+def looped_render(paints, shape, background):
+    # the occlusion loop the owner canvas replaced: each new paint clears
+    # its pixels from every earlier paint's visible mask
+    image = np.full(shape, background, dtype=np.float64)
+    visible = []
+    for paint in paints:
+        image[paint.mask.pixels] = paint.intensity
+        visible.append(paint.mask.pixels.copy())
+        for earlier in visible[:-1]:
+            earlier &= ~paint.mask.pixels
+    return image, visible
+
+
+def random_stack(rng, shape=(24, 24)):
+    paints = []
+    for _ in range(int(rng.integers(1, 41))):
+        size = rng.uniform(1.0, 5.0)
+        center = tuple(rng.uniform(6.0, 17.0, size=2))
+        maker = disk_mask if rng.random() < 0.5 else square_mask
+        paints.append(ShapePaint(int(rng.integers(2)), maker(center, size, shape), rng.uniform(0.3, 1.0)))
+    return paints
+
+
 class TestMasks:
     def test_square_footprint(self):
         m = square_mask((4.0, 4.0), 1.0, (8, 8))
@@ -108,6 +131,21 @@ class TestRenderScene:
         assert not (vis_back.pixels & front.pixels).any()
         # visible + occluded pixels reconstruct the original footprint
         assert vis_back.area == back.area - int((back.pixels & front.pixels).sum())
+
+    def test_random_stacks_equal_the_looped_occlusion_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        dropped = 0
+        for _ in range(60):
+            paints = random_stack(rng)
+            scene = render_scene(paints, (24, 24))
+            image, visible = looped_render(paints, (24, 24), 0.1)
+            kept = [(p.category_id, v) for p, v in zip(paints, visible) if v.any()]
+            dropped += len(paints) - len(kept)
+            assert scene.image.tobytes() == image.tobytes()
+            assert [i.category_id for i in scene.instances] == [c for c, _ in kept]
+            for inst, (_, v) in zip(scene.instances, kept):
+                assert np.array_equal(inst.mask.pixels, v)
+        assert dropped > 0  # some stacks hide whole instances
 
     def test_low_contrast_rejected(self):
         m = square_mask((4.0, 4.0), 1.0, (8, 8))
