@@ -198,9 +198,7 @@ def sample_scene(spec: SceneSpec, rng: np.random.Generator) -> SceneSample:
     q = int(rng.integers(spec.count_range[0], spec.count_range[1] + 1))
     d = int(rng.integers(spec.distractor_range[0], spec.distractor_range[1] + 1))
     other_kinds = [k for k in spec.shape_kinds if k != target_kind]
-    kinds = [target_kind] * q + [other_kinds[0] if other_kinds else target_kind] * (
-        d if other_kinds else 0
-    )
+    kinds = [target_kind] * q + other_kinds[:1] * d
 
     placed = _place_instances(spec, kinds, rng)
     size = spec.image_size

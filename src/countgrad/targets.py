@@ -146,14 +146,11 @@ def weak_label_grids(points: PointAnnotations, image_shape: tuple[int, int]) -> 
     hg, wg = _grid_shape(image_shape)
     pos = np.zeros((hg, wg), dtype=bool)
     neg = np.zeros((hg, wg), dtype=bool)
-    for r, c in points.positive:
-        if not (0 <= r < h and 0 <= c < w):
-            raise ValueError(f"point ({r}, {c}) outside image bounds")
-        pos[r // GRID_FACTOR, c // GRID_FACTOR] = True
-    for r, c in points.negative:
-        if not (0 <= r < h and 0 <= c < w):
-            raise ValueError(f"point ({r}, {c}) outside image bounds")
-        neg[r // GRID_FACTOR, c // GRID_FACTOR] = True
+    for grid, pts in ((pos, points.positive), (neg, points.negative)):
+        for r, c in pts:
+            if not (0 <= r < h and 0 <= c < w):
+                raise ValueError(f"point ({r}, {c}) outside image bounds")
+            grid[r // GRID_FACTOR, c // GRID_FACTOR] = True
     neg &= ~pos
     return WeakGrids(pos, neg, points.count)
 
