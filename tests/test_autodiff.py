@@ -303,7 +303,7 @@ def _leaky_relu(x, slope):
     return ad._recorded(np.maximum(xv, slope * xv), (x, lambda g: g * factors.take(xv > 0.0)))
 
 
-class TestFusedConvLayer:
+class TestConvBiasRectifier:
     """conv2d with bias and slope: a whole layer in one node.
 
     Its values and gradients are checked bit for bit against a numpy
